@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .data import PRESETS, generate_synthetic, load_features, preset_spec, save_jsonl, split_dataset
@@ -22,6 +23,8 @@ from .trainer import (ConfigError, NonFiniteLossError, RunConfig, config_from_fl
                       save_checkpoint, train, write_metrics_log)
 
 SEED_ENV_VAR = "SSLCL_SEED"
+JOBS_HELP = ("worker processes (at least 1); results are byte-identical to --jobs 1, "
+             "and each worker holds one copy of the dataset")
 
 
 def _parse_set_value(raw: str):
@@ -190,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", required=True)
     sw.add_argument("--sizes", default=None, help="comma-separated batch sizes")
     sw.add_argument("--modes", default=None, help="comma-separated loss modes")
-    sw.add_argument("--jobs", type=int, default=1)
+    sw.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     sw.add_argument("--svg", action="store_true", help="also emit a line plot")
     sw.add_argument("--no-equalize-steps", action="store_true",
                     help="keep epochs fixed across sizes instead of the step budget")
@@ -199,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     ab = sub.add_parser("ablate", help="similarity/component/depth ablations")
     add_config_args(ab)
     ab.add_argument("--out", required=True)
-    ab.add_argument("--jobs", type=int, default=1)
+    ab.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     ab.set_defaults(func=_cmd_ablate)
     return parser
 
@@ -218,7 +221,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return 1
-    except (NonFiniteLossError, OSError, ArithmeticError) as err:
+    except (NonFiniteLossError, BrokenExecutor, OSError, ArithmeticError) as err:
         print(f"runtime failure: {err}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -43,21 +42,59 @@ def train_and_score(config: RunConfig, dataset: FeatureDataset, seed: int) -> tu
     return weighted_f1(preds, golds, dataset.header.num_labels)
 
 
+# The (configs, dataset) pair that `_run_one` reads: set once per pool
+# worker by the pool's initializer, or for the duration of a serial run.
+_task_inputs: tuple[dict[str, RunConfig], FeatureDataset] | None = None
+
+
+def _set_task_inputs(inputs: tuple[dict[str, RunConfig], FeatureDataset] | None) -> None:
+    global _task_inputs
+    _task_inputs = inputs
+
+
+def _run_one(task: tuple[str, int]) -> tuple[float, list[float]]:
+    configs, dataset = _task_inputs
+    key, seed = task
+    return train_and_score(configs[key], dataset, seed)
+
+
 def _run_tasks(configs: dict[str, RunConfig], dataset: FeatureDataset,
                seeds: Sequence[int], jobs: int) -> dict[tuple[str, int], tuple[float, list[float]]]:
-    """Execute each unique (config, seed) once; results keyed for re-assembly."""
+    """Execute each unique (config, seed) once; results keyed for re-assembly.
+
+    With jobs > 1 the tasks run in min(jobs, tasks) worker processes. Each
+    worker receives the configs and the dataset once, at start-up, and holds
+    its own copy of the dataset; a task is sent as its (key, seed) only.
+    Every task is a pure function of (config, dataset, seed), so the results
+    are byte-identical to jobs=1, which runs the tasks in this process. When
+    a task raises, the pending tasks are cancelled and the workers joined
+    before the error propagates; a worker that dies raises BrokenProcessPool.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(key, seed) for key in sorted(configs) for seed in seeds]
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        _set_task_inputs((configs, dataset))
+        try:
+            return {task: _run_one(task) for task in tasks}
+        finally:
+            _set_task_inputs(None)
+    # Imported here: multiprocessing would add ~1.5 MB of RSS and 20 modules
+    # to every process that imports sslcl only to train.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
-    def run_one(task):
-        key, seed = task
-        return task, train_and_score(configs[key], dataset, seed)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            finished = list(pool.map(run_one, tasks))
-    else:
-        finished = [run_one(t) for t in tasks]
-    return dict(finished)
+    # fork: workers start as copies of this process, without re-importing
+    # numpy and sslcl. Neither the CLI nor the library runs a Python thread
+    # here (OpenBLAS shuts its own threads down at fork), and the pool forks
+    # its workers before it starts its manager thread.
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
+                               initializer=_set_task_inputs, initargs=((configs, dataset),))
+    try:
+        return dict(zip(tasks, pool.map(_run_one, tasks)))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass

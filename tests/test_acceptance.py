@@ -45,7 +45,7 @@ def ablation_report(meld_dataset, tmp_path_factory):
     config = RunConfig(batch_size=8, epochs=9, encoder_lr=3e-3, hidden_dim=16,
                        feature_dim=8, seeds=(0, 1, 2, 3, 4),
                        hp=HyperParams(gamma=1.0))
-    report = ablation_suite(config, meld_dataset)
+    report = ablation_suite(config, meld_dataset, jobs=2)
     out = tmp_path_factory.mktemp("ablation_report")
     write_ablation_report(out, report, meld_dataset.header.num_labels)
     return report, out
@@ -143,7 +143,7 @@ def test_criterion_4_batch_size_stability(meld_dataset):
                        feature_dim=8, seeds=(0, 1, 2, 3, 4),
                        hp=HyperParams(gamma=0.1))
     sweep = batch_size_sweep(config, meld_dataset, sizes=(2, 32),
-                             modes=("sslcl", "supcon"), equalize_steps=True)
+                             modes=("sslcl", "supcon"), equalize_steps=True, jobs=2)
     elapsed = time.time() - start
     deg_supcon = sweep.mean("supcon", 32) - sweep.mean("supcon", 2)
     deg_sslcl = sweep.mean("sslcl", 32) - sweep.mean("sslcl", 2)

@@ -1,9 +1,13 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
+from sslcl import evaluation
 from sslcl.cli import main
 from sslcl.data import load_features
+from sslcl.trainer import NonFiniteLossError
 
 
 @pytest.fixture()
@@ -113,6 +117,42 @@ class TestSweepAndAblate:
         assert code == 0
         assert (out / "ablation.csv").exists()
         assert (out / "arms.json").exists()
+
+    def test_sweep_batch_jobs_leaves_no_worker_running(self, data_file, tmp_path):
+        code = main(["sweep-batch", "--data", str(data_file), "--out", str(tmp_path / "sweep"),
+                     "--sizes", "4,8", "--modes", "ce-only", "--jobs", "2"] + QUICK)
+        assert code == 0
+        assert multiprocessing.active_children() == []
+
+    def test_task_error_in_worker_is_runtime_failure(self, data_file, tmp_path, monkeypatch,
+                                                     capsys):
+        # Forked workers inherit the patched module attribute.
+        def diverge(config, dataset, seed):
+            raise NonFiniteLossError(f"loss diverged for seed {seed}")
+
+        monkeypatch.setattr(evaluation, "train_and_score", diverge)
+        code = main(["ablate", "--data", str(data_file), "--out", str(tmp_path / "ab"),
+                     "--jobs", "2"] + QUICK)
+        assert code == 2
+        assert "runtime failure: loss diverged" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_runtime_failure(self, data_file, tmp_path, monkeypatch, capsys):
+        def die(config, dataset, seed):
+            os._exit(1)
+
+        monkeypatch.setattr(evaluation, "train_and_score", die)
+        code = main(["ablate", "--data", str(data_file), "--out", str(tmp_path / "ab"),
+                     "--jobs", "2"] + QUICK)
+        assert code == 2
+        assert "runtime failure:" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_below_one_is_usage_error(self, data_file, tmp_path, capsys):
+        code = main(["ablate", "--data", str(data_file), "--out", str(tmp_path / "ab"),
+                     "--jobs", "0"] + QUICK)
+        assert code == 1
+        assert "jobs must be at least 1" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -141,3 +141,14 @@ class TestAblation:
         write_ablation_report(tmp_path / "out", report, quick_dataset.header.num_labels)
         for name in ("ablation.csv", "summary.txt", "arms.json"):
             assert (tmp_path / "out" / name).exists()
+
+    def test_parallel_jobs_write_serial_report_bytes(self, quick_dataset, tmp_path):
+        # Covers every arm: Soft-HGR, dot and cosine, the component removals
+        # and the label-net depths.
+        config = _quick_config(seeds=(0,), epochs=1)
+        k = quick_dataset.header.num_labels
+        write_ablation_report(tmp_path / "serial", ablation_suite(config, quick_dataset, jobs=1), k)
+        write_ablation_report(tmp_path / "jobs2", ablation_suite(config, quick_dataset, jobs=2), k)
+        for name in ("ablation.csv", "summary.txt", "arms.json"):
+            assert (tmp_path / "jobs2" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes()
