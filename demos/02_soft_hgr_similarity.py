@@ -1,17 +1,16 @@
 """The Soft-HGR similarity and its batch/per-pair decomposition.
 
 The batch similarity is the mean paired inner product minus half the
-trace of the product of the sample-by-sample covariances. Each sample
-also has a per-pair similarity against any candidate label row, and the
-per-pair values of a batch sum back to the batch value exactly. That
-identity is what lets the contrastive losses score every (sample, label)
+trace of the product of the sample-by-sample covariances. `sim_matrix`
+scores every sample against every label row; its entries at the
+samples' own labels sum back to the batch value exactly. That identity
+is what lets the contrastive losses score every (sample, label)
 combination against consistent batch statistics.
 """
 
 import numpy as np
 
-from sslcl import Tensor, build_context, pair_similarity, sim_matrix, soft_hgr_batch, soft_hgr_pair
-from sslcl import autodiff as ad
+from sslcl import Tensor, build_context, sim_matrix, soft_hgr_batch
 
 rng = np.random.default_rng(0)
 n, k, d = 5, 3, 4
@@ -22,12 +21,11 @@ print(f"batch: {n} samples, {k} labels, {d} dims; assignment z = {labels.tolist(
 
 ctx = build_context(Tensor(feats), Tensor(table), labels)
 batch_value = soft_hgr_batch(ctx).item()
-pair_sum = sum(
-    soft_hgr_pair(ctx, i, ad.gather_rows(ctx.centered_labels, np.array([labels[i]]))).item()
-    for i in range(n))
-print(f"\nbatch Soft-HGR similarity:    {batch_value:+.12f}")
-print(f"sum of per-pair similarities: {pair_sum:+.12f}")
-print(f"decomposition gap:            {abs(batch_value - pair_sum):.2e}")
+mat = sim_matrix(ctx).values
+pair_sum = mat[np.arange(n), labels].sum()
+print(f"\nbatch Soft-HGR similarity:     {batch_value:+.12f}")
+print(f"sum of own-label similarities: {pair_sum:+.12f}")
+print(f"decomposition gap:             {abs(batch_value - pair_sum):.2e}")
 
 offset = rng.standard_normal(d) * 50.0
 shifted = build_context(Tensor(feats + offset), Tensor(table), labels)
@@ -36,7 +34,6 @@ print(f"batch similarity moves by {abs(soft_hgr_batch(shifted).item() - batch_va
       "(centering absorbs translations)")
 
 print("\nall sample-against-label similarities, one row per sample:")
-mat = sim_matrix(ctx).values
 for i in range(n):
     marks = " ".join(f"{v:+.3f}{'*' if j == labels[i] else ' '}" for j, v in enumerate(mat[i]))
     print(f"  sample {i}: {marks}")
@@ -44,4 +41,4 @@ print("(* marks the sample's own label)")
 
 for measure in ("dot", "cosine"):
     alt = build_context(Tensor(feats), Tensor(table), labels, measure=measure)
-    print(f"{measure:>8}: sample 0 vs label 0 = {pair_similarity(alt, 0, 0).item():+.4f}")
+    print(f"{measure:>8}: sample 0 vs label 0 = {sim_matrix(alt).values[0, 0]:+.4f}")

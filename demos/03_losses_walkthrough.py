@@ -9,7 +9,7 @@ imbalance weights, cross entropy, and the combined objective.
 import numpy as np
 
 from sslcl import HyperParams, augmentation_views, build_context, classify, cross_entropy, \
-    embed_labels, encode, generate_synthetic, preset_spec, sslcl_loss, total_loss
+    embed_labels, encode, generate_synthetic, preset_spec, sslcl_loss
 from sslcl.data import batch_iter
 from sslcl.encoder import FULL_MASK
 from sslcl.trainer import RunConfig, init_params
@@ -42,7 +42,8 @@ print("  " + " ".join(f"{v:5.2f}" for v in breakdown.negative_terms))
 print(f"\nlabel-label discrimination: {breakdown.label_loss:.4f}")
 print(f"weighted sample-label total + label term = L_SSLCL = {breakdown.sslcl_loss:.4f}")
 print(f"cross entropy: {breakdown.ce_loss:.4f}")
-print(f"combined objective (eta={hp.ce_weight}): {total_loss(breakdown, hp):.4f}")
+print(f"combined objective (eta={hp.ce_weight}): "
+      f"{breakdown.sslcl_loss + hp.ce_weight * breakdown.ce_loss:.4f}")
 
 print("\nfocusing exponents reshape the same similarities:")
 for alpha in (0.5, 2.0, 4.0):

@@ -14,11 +14,9 @@ from .encoder import FULL_MASK, ModalityMask, augmentation_views, classify, enco
 from .evaluation import SweepResult, ablation_suite, batch_size_sweep, train_and_score
 from .label_embedding import embed_labels
 from .losses import (FloorCount, HyperParams, LossBreakdown, cross_entropy,
-                     label_label_loss, negative_loss, positive_loss, sslcl_loss,
-                     supcon_loss, total_loss)
+                     label_label_loss, sslcl_loss, supcon_loss)
 from .metrics import weighted_f1
-from .similarity import (SimilarityContext, build_context, pair_similarity,
-                         sim_matrix, soft_hgr_batch, soft_hgr_pair)
+from .similarity import SimilarityContext, build_context, sim_matrix, soft_hgr_batch
 from .trainer import (Adam, GradCheckReport, RunConfig, TrainResult, gradcheck,
                       load_checkpoint, predict, save_checkpoint, train)
 

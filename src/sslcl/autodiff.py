@@ -295,18 +295,6 @@ def gather_rows(mat, indices) -> Tensor:
     return _make("gather_rows", mv[idx], (mat,), vjp)
 
 
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Collect scalar nodes into a vector."""
-    parts = tuple(_lift(p) for p in parts)
-    if not parts or any(p.shape != () for p in parts):
-        raise ValueError("stack expects a non-empty list of scalars")
-
-    def vjp(g):
-        return tuple(np.asarray(g[i]) for i in range(len(parts)))
-
-    return _make("stack", np.array([p.values for p in parts]), parts, vjp)
-
-
 def relu(a) -> Tensor:
     a = _lift(a)
     av = a.values
@@ -392,28 +380,6 @@ def center_rows(mat) -> Tensor:
     centered = mv - mv.mean(axis=0, keepdims=True)
     return _make("center_rows", centered, (mat,),
                  lambda g: (g - g.mean(axis=0, keepdims=True),))
-
-
-def sample_covariance(mat: Tensor) -> Tensor:
-    """(1/(N-1)) M^T M for a row-centered matrix M; needs N >= 2."""
-    mat = _lift(mat)
-    n = mat.shape[0]
-    if n < 2:
-        raise DegenerateBatchError("sample covariance needs at least two rows")
-    return scale(matmul(transpose(mat), mat), 1.0 / (n - 1))
-
-
-def stable_softmax(vec) -> Tensor:
-    """Softmax of a vector, computed with max-subtraction."""
-    vec = _lift(vec)
-    if vec.values.ndim != 1:
-        raise ValueError("stable_softmax expects a vector")
-    if not np.all(np.isfinite(vec.values)):
-        raise NonFiniteError("stable_softmax input is not finite")
-    shifted = vec.values - vec.values.max()
-    e = np.exp(shifted)
-    s = e / e.sum()
-    return _make("stable_softmax", s, (vec,), lambda g: (s * (g - (g * s).sum()),))
 
 
 def softmax_rows(mat) -> Tensor:

@@ -14,12 +14,14 @@ import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .data import PRESETS, generate_synthetic, load_features, preset_spec, save_jsonl, split_dataset
 from .evaluation import (DEFAULT_SWEEP_SIZES, SWEEP_MODES, ablation_suite, batch_size_sweep,
                          write_ablation_report, write_sweep_report)
 from .metrics import weighted_f1
 from .trainer import (ConfigError, NonFiniteLossError, RunConfig, config_from_flat,
-                      config_to_flat, gradcheck, load_checkpoint, predict,
+                      config_to_flat, gradcheck, init_params, load_checkpoint, predict,
                       save_checkpoint, train, write_metrics_log)
 
 SEED_ENV_VAR = "SSLCL_SEED"
@@ -101,12 +103,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_checkpoint_fits(store, header, config: RunConfig) -> None:
+    """Raise ConfigError naming the first parameter whose name or shape
+    differs from what the checkpoint's config builds for this data."""
+    built = init_params(header, config, np.random.default_rng(0)).arrays
+    expected = {name: list(arr.shape) for name, arr in built.items()}
+    found = {name: list(arr.shape) for name, arr in store.arrays.items()}
+    for name in list(expected) + [n for n in found if n not in expected]:
+        if found.get(name) != expected.get(name):
+            raise ConfigError(f"checkpoint does not fit the data: {name} has shape "
+                              f"{found.get(name)}, the data needs {expected.get(name)}")
+
+
 def _cmd_eval(args) -> int:
     store, config = load_checkpoint(args.checkpoint)
     if args.predictor:
         config.predictor = args.predictor
         config.validate()
     dataset = load_features(args.data)
+    _check_checkpoint_fits(store, dataset.header, config)
     if args.split == "all":
         records = dataset.records
     else:

@@ -1,6 +1,6 @@
 """Training-objective terms: focal positive/negative sample-label losses,
-label-label discrimination, cross entropy, the combined objective, and a
-vanilla SupCon baseline.
+label-label discrimination, cross entropy and a vanilla SupCon baseline.
+The trainer adds the weighted cross entropy to form the combined objective.
 
 Every term is assembled from tape primitives so the trainer gets exact
 gradients. Probabilities that can saturate pass through a 1e-300 log
@@ -20,8 +20,6 @@ from . import similarity as sim
 from .similarity import SimilarityContext
 
 LOG_FLOOR = 1e-300
-GAMMA_CHOICES = (0.5, 1.0, 1.5)
-LABEL_WEIGHT_CHOICES = (0.5, 1.0, 2.0)
 
 
 @dataclass
@@ -116,76 +114,6 @@ def _onehot(labels: np.ndarray, num_labels: int) -> np.ndarray:
     return out
 
 
-def positive_loss(index: int, ctx: SimilarityContext, views: Sequence[Tensor],
-                  hp: HyperParams, *, consistent_denominator: bool = False,
-                  counter: FloorCount | None = None) -> Tensor:
-    """Focal positive sample-label loss for one sample.
-
-    views holds the sample's raw augmented feature rows, each (1, d); the
-    similarity layer centers them against the full-view batch statistics.
-    By default the denominator scores every label against the original
-    sample row even for the augmented terms; consistent_denominator=True
-    switches the view terms to score labels against the view itself.
-    """
-    own_label = int(ctx.labels[index])
-    num_labels = ctx.num_labels
-    cand_sims = ad.stack([sim.pair_similarity(ctx, index, j) for j in range(num_labels)])
-    view_sims = [sim.view_row_similarity(ctx, row, own_label) for row in views]
-
-    shift = float(max(cand_sims.values.max(), max((s.item() for s in view_sims), default=-np.inf)))
-    exp_cands = ad.exp(ad.add_const(cand_sims, -shift))
-    exp_views = [ad.exp(ad.add_const(s, -shift)) for s in view_sims]
-    denom = ad.sum_all(exp_cands)
-    for ev in exp_views:
-        denom = ad.add(denom, ev)
-
-    onehot = np.zeros(num_labels)
-    onehot[own_label] = 1.0
-    own_exp = ad.dot(exp_cands, Tensor(onehot))
-    total = _focal_positive(ad.div(own_exp, denom), hp.alpha, counter)
-
-    for view_row, ev, s_v in zip(views, exp_views, view_sims):
-        if consistent_denominator:
-            view_cand = sim.view_sim_matrix(ctx, view_row)
-            shift_v = float(max(view_cand.values.max(), max(s.item() for s in view_sims)))
-            d_v = ad.sum_all(ad.exp(ad.add_const(view_cand, -shift_v)))
-            for s_other in view_sims:
-                d_v = ad.add(d_v, ad.exp(ad.add_const(s_other, -shift_v)))
-            p_v = ad.div(ad.exp(ad.add_const(s_v, -shift_v)), d_v)
-        else:
-            p_v = ad.div(ev, denom)
-        total = ad.add(total, _focal_positive(p_v, hp.alpha, counter))
-    return total
-
-
-def negative_loss(index: int, ctx: SimilarityContext, hp: HyperParams, *,
-                  counter: FloorCount | None = None) -> Tensor:
-    """Focal negative sample-label loss for one sample:
-    -sum_{k != y} log(1 - p_k) p_k^beta with p the label softmax.
-
-    The complement 1 - p_k is evaluated as its own exp-sum ratio
-    sum_{j != k} e^{s_j} / sum_j e^{s_j}, never by subtraction, so it
-    stays accurate when one similarity dominates.
-    """
-    num_labels = ctx.num_labels
-    cand_sims = ad.stack([sim.pair_similarity(ctx, index, j) for j in range(num_labels)])
-    shift = float(cand_sims.values.max())
-    exps = ad.exp(ad.add_const(cand_sims, -shift))
-    denom = ad.sum_all(exps)
-    own = int(ctx.labels[index])
-    total = None
-    for k in range(num_labels):
-        if k == own:
-            continue
-        pick = np.zeros(num_labels)
-        pick[k] = 1.0
-        p_k = ad.div(ad.dot(exps, Tensor(pick)), denom)
-        comp_k = ad.div(ad.dot(exps, Tensor(1.0 - pick)), denom)
-        term = ad.mul(safe_log(comp_k, counter), _safe_pow(p_k, hp.beta))
-        total = term if total is None else ad.add(total, term)
-    return ad.scale(total, -1.0)
-
-
 def label_label_loss(label_embeddings: Tensor, *, counter: FloorCount | None = None) -> Tensor:
     """Discrimination loss over raw (uncentered) label-embedding dot products.
 
@@ -212,12 +140,16 @@ def label_label_loss(label_embeddings: Tensor, *, counter: FloorCount | None = N
 
 def batched_sample_losses(ctx: SimilarityContext, view_mats: Sequence[Tensor],
                           hp: HyperParams, *, use_negative: bool = True,
-                          consistent_denominator: bool = False,
                           counter: FloorCount | None = None) -> tuple[Tensor, Tensor]:
-    """Vectorized per-sample positive and negative losses, as (N,) nodes.
+    """Focal positive and negative sample-label losses of every sample, as (N,) nodes.
 
-    Mirrors positive_loss/negative_loss exactly; the per-sample forms stay
-    around as the readable reference and for the oracle tests.
+    With s_ij the similarity of sample i to label j, v_ir that of view r's
+    row i to the sample's own label y_i, and D_i = sum_j e^{s_ij} +
+    sum_r e^{v_ir} one denominator shared by all of the sample's terms:
+    positive_i = f(e^{s_iy_i} / D_i) + sum_r f(e^{v_ir} / D_i) with the
+    focal f(p) = -log(p) (1-p)^alpha, and negative_i =
+    -sum_{k != y_i} log(1 - p_ik) p_ik^beta with p_i the softmax of s_i over
+    the labels alone.
     """
     n, num_labels = ctx.size, ctx.num_labels
     sims = sim.sim_matrix(ctx)
@@ -237,19 +169,8 @@ def batched_sample_losses(ctx: SimilarityContext, view_mats: Sequence[Tensor],
     onehot = _onehot(ctx.labels, num_labels)
     own = ad.rowsum(ad.mul(shifted, Tensor(onehot)))
     pos = _focal_positive(ad.div(ad.exp(own), denom), hp.alpha, counter)
-    for vi, (vm, ev, vv) in enumerate(zip(view_mats, exp_views, view_vecs)):
-        if consistent_denominator:
-            view_sims = sim.view_sim_matrix(ctx, vm)
-            shift_v = view_sims.values.max(axis=1)
-            for other in view_vecs:
-                shift_v = np.maximum(shift_v, other.values)
-            d_v = ad.rowsum(ad.exp(ad.add_const(view_sims, -shift_v[:, None])))
-            for other in view_vecs:
-                d_v = ad.add(d_v, ad.exp(ad.add(other, Tensor(-shift_v))))
-            p_v = ad.div(ad.exp(ad.add(vv, Tensor(-shift_v))), d_v)
-        else:
-            p_v = ad.div(ev, denom)
-        pos = ad.add(pos, _focal_positive(p_v, hp.alpha, counter))
+    for ev in exp_views:
+        pos = ad.add(pos, _focal_positive(ad.div(ev, denom), hp.alpha, counter))
 
     if use_negative:
         # Negative-pair softmax over labels only (no view terms); complements
@@ -277,8 +198,7 @@ def sample_weights(label_counts: np.ndarray, batch_size: int, gamma: float) -> n
 
 def sslcl_loss(ctx: SimilarityContext, view_mats: Sequence[Tensor],
                label_counts: np.ndarray, hp: HyperParams, *,
-               use_negative: bool = True, consistent_denominator: bool = False,
-               counter: FloorCount | None = None) -> tuple[Tensor, LossBreakdown]:
+               use_negative: bool = True, counter: FloorCount | None = None) -> tuple[Tensor, LossBreakdown]:
     """Full weighted sample-label objective plus the label-label term.
 
     Returns the scalar node and a breakdown filled in through sslcl_loss;
@@ -288,8 +208,7 @@ def sslcl_loss(ctx: SimilarityContext, view_mats: Sequence[Tensor],
     """
     counter = counter if counter is not None else FloorCount()
     pos, neg = batched_sample_losses(
-        ctx, view_mats, hp, use_negative=use_negative,
-        consistent_denominator=consistent_denominator, counter=counter)
+        ctx, view_mats, hp, use_negative=use_negative, counter=counter)
     weights = sample_weights(label_counts, ctx.size, hp.gamma)
     weighted = ad.dot(Tensor(weights), ad.add(pos, neg))
     label_term = label_label_loss(ctx.label_embeddings, counter=counter)
@@ -312,11 +231,6 @@ def cross_entropy(probs: Tensor, labels, *, counter: FloorCount | None = None) -
         raise ValueError("cross_entropy expects (N, K) probabilities and N labels")
     own = ad.rowsum(ad.mul(probs, Tensor(_onehot(labels, probs.shape[1]))))
     return ad.scale(ad.sum_all(safe_log(own, counter)), -1.0)
-
-
-def total_loss(breakdown: LossBreakdown, hp: HyperParams) -> float:
-    """Combined objective value: sslcl term plus weighted cross entropy."""
-    return breakdown.sslcl_loss + hp.ce_weight * breakdown.ce_loss
 
 
 def supcon_loss(features: Tensor, labels, temperature: float) -> Tensor:

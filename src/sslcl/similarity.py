@@ -2,10 +2,11 @@
 
 The Soft-HGR similarity of a batch is the mean inner product of paired
 feature mappings minus half the trace of the product of their sample
-covariances, both sides centered beforehand. The per-pair form uses the
-bilinear covariance c(x, y) = (1/(N-1)) x.y on centered rows, which is
-the unique choice under which the per-pair similarities of a batch sum
-back to the batch similarity.
+covariances, both sides centered beforehand. Entry (i, j) of
+`sim_matrix` is the per-pair similarity of sample i and label j under
+the bilinear covariance c(x, y) = (1/(N-1)) x.y on centered rows, the
+unique choice under which the entries at the batch's own labels,
+sum_i sim_matrix[i, z_i], add back to the batch similarity.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ _NORM_FLOOR = 1e-24
 
 @dataclass
 class SimilarityContext:
-    """Batch-level state shared by every pair similarity of one step.
+    """Batch-level state shared by every similarity of one step.
 
     Holds both raw and centered views of the sample features (N x d) and
     the label embedding table (K x d), the batch label assignment, and a
@@ -80,8 +81,8 @@ def soft_hgr_batch(ctx: SimilarityContext) -> Tensor:
 
     The trace term contracts the sample-by-sample (N x N) covariance
     matrices, tr = (1/(N-1))^2 sum_{i,l} (f_i.f_l)(g_{z_i}.g_{z_l}); this
-    is the convention under which the per-pair similarities of the batch
-    sum back to exactly this value.
+    is the convention under which the own-label entries of sim_matrix sum
+    back to exactly this value.
     """
     n = ctx.size
     if n < 2:
@@ -96,63 +97,15 @@ def soft_hgr_batch(ctx: SimilarityContext) -> Tensor:
     return ad.sub(paired, ad.scale(trace_term, 0.5))
 
 
-def soft_hgr_pair(ctx: SimilarityContext, index: int, candidate: Tensor) -> Tensor:
-    """Soft-HGR similarity between sample `index` and one centered candidate row.
-
-    candidate is a (1, d) centered embedding row; it may belong to any
-    class, not only the sample's own, so the contrastive denominators can
-    score every label against the same batch statistics.
-    """
-    n = ctx.size
-    if n < 2:
-        raise DegenerateBatchError("pair Soft-HGR needs at least two samples")
-    if candidate.values.shape != (1, ctx.features.shape[1]):
-        raise ValueError("candidate must be a single (1, d) row, e.g. from gather_rows")
-    feats_c = ctx.centered_features
-    feat_row = ad.gather_rows(feats_c, np.array([index]))
-    inv = 1.0 / (n - 1)
-    paired = ad.scale(ad.sum_all(ad.mul(feat_row, candidate)), inv)
-    # sum_l c(f_i, f_l) c(g, g_{z_l}) with c(x, y) = inv * x.y
-    feat_against_batch = ad.matmul(feat_row, ad.transpose(feats_c))
-    cand_against_assigned = ad.matmul(candidate, ad.transpose(ctx.assigned_centered()))
-    cov_sum = ad.sum_all(ad.mul(feat_against_batch, cand_against_assigned))
-    return ad.sub(paired, ad.scale(cov_sum, 0.5 * inv * inv))
-
-
-def pair_similarity(ctx: SimilarityContext, index: int, label: int) -> Tensor:
-    """Similarity between sample `index` and label `label` under ctx.measure.
-
-    Soft-HGR works on the centered rows; dot and cosine use the raw,
-    uncentered ones. A single-sample batch falls back to the raw dot
-    product (the covariance estimator is undefined there).
-    """
-    if not 0 <= label < ctx.num_labels:
-        raise ValueError("label index out of range")
-    idx = np.array([index])
-    lab = np.array([label])
-    if ctx.measure == "soft-hgr":
-        if ctx.size == 1:
-            feat = ad.gather_rows(ctx.features, idx)
-            cand = ad.gather_rows(ctx.label_embeddings, lab)
-            return ad.sum_all(ad.mul(feat, cand))
-        return soft_hgr_pair(ctx, index, ad.gather_rows(ctx.centered_labels, lab))
-    feat = ad.gather_rows(ctx.features, idx)
-    cand = ad.gather_rows(ctx.label_embeddings, lab)
-    if ctx.measure == "dot":
-        return ad.sum_all(ad.mul(feat, cand))
-    return _cosine(ad.sum_all(ad.mul(feat, cand)),
-                   ad.sum_all(ad.mul(feat, feat)),
-                   ad.sum_all(ad.mul(cand, cand)))
-
-
-def _cosine(inner: Tensor, feat_sq: Tensor, cand_sq: Tensor) -> Tensor:
-    norms = ad.mul(ad.pow_const(ad.clamp_min(feat_sq, _NORM_FLOOR), 0.5),
-                   ad.pow_const(ad.clamp_min(cand_sq, _NORM_FLOOR), 0.5))
-    return ad.div(inner, ad.add_const(norms, COSINE_EPS))
-
-
 def sim_matrix(ctx: SimilarityContext) -> Tensor:
-    """All sample-against-label similarities as one (N x K) node, cached."""
+    """All sample-against-label similarities as one (N x K) node, cached.
+
+    The Soft-HGR entry (i, j) is c(f_i, g_j) - (1/2) sum_l c(f_i, f_l)
+    c(g_j, g_{z_l}) on centered rows, so every label is scored against the
+    same batch statistics. Dot and cosine use the raw, uncentered rows. A
+    single-sample batch falls back to the raw dot product (the covariance
+    estimator is undefined there).
+    """
     if "sim_matrix" in ctx._cache:
         return ctx._cache["sim_matrix"]
     n = ctx.size
@@ -206,40 +159,3 @@ def view_sim_vector(ctx: SimilarityContext, view_features: Tensor) -> Tensor:
     assigned = ctx.assigned_raw()
     assigned_norm = ad.pow_const(ad.clamp_min(ad.rowsum(ad.mul(assigned, assigned)), _NORM_FLOOR), 0.5)
     return ad.div(inner, ad.add_const(ad.mul(view_norm, assigned_norm), COSINE_EPS))
-
-
-def view_row_similarity(ctx: SimilarityContext, view_row: Tensor, label: int) -> Tensor:
-    """Similarity of one raw augmented row (1, d) to one label, as a scalar."""
-    if not 0 <= label < ctx.num_labels:
-        raise ValueError("label index out of range")
-    sims = view_sim_matrix(ctx, view_row)
-    onehot = np.zeros((1, ctx.num_labels))
-    onehot[0, label] = 1.0
-    return ad.sum_all(ad.mul(sims, Tensor(onehot)))
-
-
-def view_sim_matrix(ctx: SimilarityContext, view_features: Tensor) -> Tensor:
-    """Similarity of every view row against every label (N x K).
-
-    Only needed when the positive-loss denominator is configured to score
-    candidates against the augmented view instead of the original sample.
-    """
-    n = ctx.size
-    if ctx.measure == "soft-hgr":
-        if n == 1:
-            return ad.matmul(view_features, ad.transpose(ctx.label_embeddings))
-        inv = 1.0 / (n - 1)
-        mean = ad.colmean(ctx.features)
-        view_c = ad.add_rowvec(view_features, ad.scale(mean, -1.0))
-        labels_c = ctx.centered_labels
-        paired = ad.scale(ad.matmul(view_c, ad.transpose(labels_c)), inv)
-        view_gram = ad.matmul(view_c, ad.transpose(ctx.centered_features))
-        cand_gram = ad.matmul(labels_c, ad.transpose(ctx.assigned_centered()))
-        cov = ad.matmul(view_gram, ad.transpose(cand_gram))
-        return ad.sub(paired, ad.scale(cov, 0.5 * inv * inv))
-    if ctx.measure == "dot":
-        return ad.matmul(view_features, ad.transpose(ctx.label_embeddings))
-    inner = ad.matmul(view_features, ad.transpose(ctx.label_embeddings))
-    view_norm = ad.pow_const(ad.clamp_min(ad.rowsum(ad.mul(view_features, view_features)), _NORM_FLOOR), 0.5)
-    cand_norm = ad.pow_const(ad.clamp_min(ad.rowsum(ad.mul(ctx.label_embeddings, ctx.label_embeddings)), _NORM_FLOOR), 0.5)
-    return ad.div(inner, ad.add_const(ad.outer(view_norm, cand_norm), COSINE_EPS))

@@ -50,7 +50,6 @@ class RunConfig:
     label_net_lr: float = 1e-5
     augmentation: bool = True
     use_negative_loss: bool = True
-    consistent_denominator: bool = False
     hidden_dim: int = 16
     feature_dim: int = 8
     label_embed_dim: int | None = None
@@ -116,7 +115,7 @@ def config_from_flat(values: dict, base: RunConfig | None = None) -> RunConfig:
             setattr(config, key, int(value))
         elif key in ("encoder_lr", "label_net_lr", "adam_beta1", "adam_beta2", "adam_eps"):
             setattr(config, key, float(value))
-        elif key in ("augmentation", "use_negative_loss", "consistent_denominator"):
+        elif key in ("augmentation", "use_negative_loss"):
             if not isinstance(value, bool):
                 raise ConfigError(f"config key {key!r} expects true/false")
             setattr(config, key, value)
@@ -204,9 +203,7 @@ def compute_step_loss(config: RunConfig, leaves: dict[str, Tensor], batch: Featu
         ctx = build_context(feats, table, batch.labels, config.measure)
         node, breakdown = sslcl_loss(
             ctx, views, batch.label_counts, config.hp,
-            use_negative=config.use_negative_loss,
-            consistent_denominator=config.consistent_denominator,
-            counter=counter)
+            use_negative=config.use_negative_loss, counter=counter)
         total = ad.add(node, ad.scale(ce, config.hp.ce_weight))
     elif config.loss_mode == "supcon":
         contrast = supcon_loss(feats, batch.labels, config.hp.supcon_temperature)

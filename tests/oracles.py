@@ -90,8 +90,7 @@ def view_sim_ld(feats, table, assignment, view_row, j, measure):
     return np.dot(row, table[j]) / (nf * ng + LD(1e-12))
 
 
-def positive_loss_ld(feats, table, assignment, views, i, alpha, measure,
-                     consistent_denominator=False):
+def positive_loss_ld(feats, table, assignment, views, i, alpha, measure):
     """Direct focal positive loss: views is the list of raw augmented rows
     for sample i (possibly empty)."""
     k = np.asarray(table).shape[0]
@@ -106,13 +105,8 @@ def positive_loss_ld(feats, table, assignment, views, i, alpha, measure,
                 for j in range(k)) + aug
     p_own = np.exp(pair_sim_ld(feats, table, assignment, i, y, measure)) / denom
     total = -np.log(p_own) * (LD(1) - p_own) ** LD(alpha)
-    for row, s in zip(views, view_sims):
-        if consistent_denominator:
-            d = sum(np.exp(view_sim_ld(feats, table, assignment, row, j, measure))
-                    for j in range(k)) + aug
-        else:
-            d = denom
-        p = np.exp(s) / d
+    for s in view_sims:
+        p = np.exp(s) / denom
         total += -np.log(p) * (LD(1) - p) ** LD(alpha)
     return total
 

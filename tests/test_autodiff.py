@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sslcl import autodiff as ad
-from sslcl.autodiff import DegenerateBatchError, NonFiniteError, Tape, Tensor
+from sslcl.autodiff import NonFiniteError, Tape, Tensor
 
 
 def _fd_gradients(build, arrays, h=1e-6):
@@ -54,63 +54,46 @@ class TestCenterRows:
                      {"m": rng.standard_normal((5, 3))})
 
 
-class TestSampleCovariance:
-    def test_hand_case(self):
-        out = ad.sample_covariance(Tensor([[1.0, 0.0], [-1.0, 0.0]]))
-        np.testing.assert_array_equal(out.values, [[2.0, 0.0], [0.0, 0.0]])
-
-    def test_zero_matrix(self):
-        out = ad.sample_covariance(Tensor(np.zeros((3, 2))))
-        np.testing.assert_array_equal(out.values, np.zeros((2, 2)))
-
-    def test_matches_double_loop(self):
-        rng = np.random.default_rng(5)
-        mat = rng.standard_normal((5, 3))
-        mat = mat - mat.mean(axis=0)
-        expected = np.zeros((3, 3))
-        for a in range(3):
-            for b in range(3):
-                expected[a, b] = sum(mat[i, a] * mat[i, b] for i in range(5)) / 4
-        np.testing.assert_allclose(ad.sample_covariance(Tensor(mat)).values, expected, atol=1e-12)
-
-    def test_single_row_rejected(self):
-        with pytest.raises(DegenerateBatchError):
-            ad.sample_covariance(Tensor([[1.0, 2.0]]))
-
-
 class TestStableSoftmax:
+    """ad.softmax_rows, the max-shifted softmax the classifier head runs."""
+
     def test_uniform(self):
-        np.testing.assert_allclose(ad.stable_softmax(Tensor([0.0, 0.0, 0.0])).values,
-                                   [1 / 3] * 3, atol=1e-15)
+        np.testing.assert_allclose(ad.softmax_rows(Tensor(np.zeros((2, 3)))).values,
+                                   np.full((2, 3), 1 / 3), atol=1e-15)
 
     def test_large_inputs_do_not_overflow(self):
-        out = ad.stable_softmax(Tensor([1000.0, 1000.0, 0.0])).values
-        np.testing.assert_allclose(out[:2], [0.5, 0.5], atol=1e-12)
+        out = ad.softmax_rows(Tensor([[1000.0, 1000.0, 0.0], [0.0, 0.0, 0.0]])).values
+        np.testing.assert_allclose(out[0, :2], [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(out[1], [1 / 3] * 3, atol=1e-15)
 
     def test_matches_extended_precision(self):
         rng = np.random.default_rng(6)
-        vec = rng.standard_normal(6)
-        exps = np.exp(vec.astype(np.longdouble))
-        expected = (exps / exps.sum()).astype(np.float64)
-        np.testing.assert_allclose(ad.stable_softmax(Tensor(vec)).values, expected, atol=1e-12)
-        assert abs(ad.stable_softmax(Tensor(vec)).values.sum() - 1.0) < 1e-12
+        mat = rng.standard_normal((3, 6))
+        exps = np.exp(mat.astype(np.longdouble))
+        expected = (exps / exps.sum(axis=1, keepdims=True)).astype(np.float64)
+        out = ad.softmax_rows(Tensor(mat)).values
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+        assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(7)
-        vec = rng.standard_normal(5)
+        mat = rng.standard_normal((3, 5))
         for shift in (-100.0, 3.7, 250.0):
-            np.testing.assert_allclose(ad.stable_softmax(Tensor(vec + shift)).values,
-                                       ad.stable_softmax(Tensor(vec)).values, atol=1e-12)
+            # Each row moves by its own constant; the softmax must not see it.
+            offsets = shift * np.array([[1.0], [0.5], [-2.0]])
+            np.testing.assert_allclose(ad.softmax_rows(Tensor(mat + offsets)).values,
+                                       ad.softmax_rows(Tensor(mat)).values, atol=1e-12)
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(NonFiniteError):
-            ad.stable_softmax(Tensor([1.0, np.inf]))
+            ad.softmax_rows(Tensor([[1.0, 2.0], [1.0, np.inf]]))
 
     def test_gradient(self):
+        # Rows at the overflow scale: the backward must use the shifted values.
         rng = np.random.default_rng(8)
-        proj = rng.standard_normal(4)
-        _check_grads(lambda p: ad.dot(ad.stable_softmax(p["v"]), Tensor(proj)),
-                     {"v": rng.standard_normal(4)})
+        proj = rng.standard_normal((2, 4))
+        _check_grads(lambda p: ad.sum_all(ad.mul(ad.softmax_rows(p["m"]), Tensor(proj))),
+                     {"m": rng.standard_normal((2, 4)) + np.array([[1000.0], [-700.0]])})
 
 
 class TestGradients:
@@ -226,7 +209,7 @@ class TestPrimitiveGradients:
             grid = ad.outer(sq, p["v"])
             s1 = ad.sum_all(grid)
             s2 = ad.dot(p["v"], p["v"])
-            return ad.sum_all(ad.stack([s1, s2, ad.scale(s1, -0.5)]))
+            return ad.add(ad.add(s1, s2), ad.scale(s1, -0.5))
 
         _check_grads(build, {"u": rng.standard_normal(3) + 2.0,
                              "v": rng.standard_normal(4)})

@@ -95,6 +95,33 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(out / "checkpoint_seed0.json"),
                      "--data", str(data_file), "--predictor", "similarity"]) == 0
 
+    def test_checkpoint_for_other_label_count_exits_one(self, data_file, tmp_path, capsys):
+        # A meld-like (7-class) checkpoint scored on an iemocap-like (6-class) file.
+        out = tmp_path / "run3"
+        assert main(["train", "--data", str(data_file), "--out", str(out),
+                     "--set", "epochs=1", "--set", "batch_size=16", "--set", "seeds=[0]"]) == 0
+        other = tmp_path / "iemocap.jsonl"
+        assert main(["gen-data", "--preset", "iemocap-like", "--n", "40",
+                     "--seed", "1", "--out", str(other)]) == 0
+        capsys.readouterr()
+        for predictor in ("head", "similarity"):
+            code = main(["eval", "--checkpoint", str(out / "checkpoint_seed0.json"),
+                         "--data", str(other), "--split", "all", "--predictor", predictor])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert "head.weight has shape [7, 8], the data needs [6, 8]" in captured.err
+            assert "w-F1" not in captured.out
+
+    def test_checkpoint_missing_a_parameter_exits_one(self, data_file, tmp_path, capsys):
+        out = tmp_path / "run4"
+        assert main(["train", "--data", str(data_file), "--out", str(out)] + QUICK) == 0
+        path = out / "checkpoint_seed0.json"
+        checkpoint = json.loads(path.read_text())
+        del checkpoint["parameters"]["label.project_b"]
+        path.write_text(json.dumps(checkpoint))
+        assert main(["eval", "--checkpoint", str(path), "--data", str(data_file)]) == 1
+        assert "label.project_b has shape None" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_runtime_failure(self, data_file, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.json"),
                      "--data", str(data_file)])

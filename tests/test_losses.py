@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from sslcl import autodiff as ad
 from sslcl.autodiff import Tape, Tensor
+from sslcl.data import batch_iter, generate_synthetic, preset_spec
 from sslcl.losses import (FloorCount, HyperParams, batched_sample_losses,
-                          cross_entropy, label_label_loss, negative_loss,
-                          positive_loss, sample_weights, sslcl_loss, supcon_loss,
-                          total_loss)
-from sslcl.similarity import build_context
+                          cross_entropy, label_label_loss, sample_weights, sslcl_loss,
+                          supcon_loss)
+from sslcl.similarity import build_context, sim_matrix
+from sslcl.trainer import RunConfig, compute_step_loss, init_params
 
 from oracles import (cross_entropy_ld, label_label_ld, negative_loss_ld,
                      positive_loss_ld, supcon_ld)
@@ -28,6 +28,14 @@ def _ctx(feats, table, labels, measure="soft-hgr"):
     return build_context(Tensor(feats), Tensor(table), labels, measure=measure)
 
 
+def _pos(ctx, hp, views=()):
+    return batched_sample_losses(ctx, [Tensor(v) for v in views], hp)[0].values
+
+
+def _neg(ctx, hp):
+    return batched_sample_losses(ctx, [], hp)[1].values
+
+
 class TestPositiveLoss:
     def test_uniform_similarities_empty_views(self):
         # All-equal similarities and no views: p = 1/K for the single term.
@@ -35,63 +43,42 @@ class TestPositiveLoss:
         ctx = _ctx(np.zeros((3, 2)), np.zeros((k, 2)), [0, 1, 2])
         hp = HyperParams(alpha=2.0)
         expected = -np.log(1 / k) * (1 - 1 / k) ** 2
-        for i in range(3):
-            assert abs(positive_loss(i, ctx, [], hp).item() - expected) < 1e-12
+        for value in _pos(ctx, hp):
+            assert abs(value - expected) < 1e-12
 
     def test_alpha_zero_reduces_to_log_softmax(self):
         rng = np.random.default_rng(40)
         feats, table, labels, _ = _instance(rng, n=3, k=3, d=2)
         ctx = _ctx(feats, table, labels)
         hp = HyperParams(alpha=1e-12)  # strictly positive per contract; 0 in the limit
-        sims = np.array([[_pair_value(ctx, i, j) for j in range(3)] for i in range(3)])
+        sims = sim_matrix(ctx).values
+        got = _pos(ctx, hp)
         for i in range(3):
             exps = np.exp(sims[i] - sims[i].max())
             p = exps[labels[i]] / exps.sum()
-            assert abs(positive_loss(i, ctx, [], hp).item() - (-np.log(p))) < 1e-9
+            assert abs(got[i] - (-np.log(p))) < 1e-9
 
     def test_matches_oracle_trimodal_views(self):
         rng = np.random.default_rng(41)
         hp = HyperParams()
         for _ in range(40):
             feats, table, labels, views = _instance(rng, n_views=3)
-            ctx = _ctx(feats, table, labels)
-            i = int(rng.integers(0, len(labels)))
-            rows = [ad.gather_rows(Tensor(v), np.array([i])) for v in views]
-            got = positive_loss(i, ctx, rows, hp).item()
-            expected = float(positive_loss_ld(
-                feats, table, labels, [v[i] for v in views], i, hp.alpha, "soft-hgr"))
-            assert abs(got - expected) < 1e-10
-
-    def test_consistent_denominator_variant(self):
-        rng = np.random.default_rng(42)
-        hp = HyperParams()
-        feats, table, labels, views = _instance(rng, n=4, k=3, d=3, n_views=2)
-        ctx = _ctx(feats, table, labels)
-        for i in range(4):
-            rows = [ad.gather_rows(Tensor(v), np.array([i])) for v in views]
-            got = positive_loss(i, ctx, rows, hp, consistent_denominator=True).item()
-            expected = float(positive_loss_ld(
-                feats, table, labels, [v[i] for v in views], i, hp.alpha, "soft-hgr",
-                consistent_denominator=True))
-            assert abs(got - expected) < 1e-10
-            plain = positive_loss(i, ctx, rows, hp).item()
-            assert got != plain
+            got = _pos(_ctx(feats, table, labels), hp, views)
+            for i in range(len(labels)):
+                expected = float(positive_loss_ld(
+                    feats, table, labels, [v[i] for v in views], i, hp.alpha, "soft-hgr"))
+                assert abs(got[i] - expected) < 1e-10
 
     def test_monotone_in_own_similarity(self):
         # Raising the own-label similarity (via the label row) lowers the loss.
         rng = np.random.default_rng(43)
         feats, table, labels, _ = _instance(rng, n=4, k=3, d=3)
         hp = HyperParams()
-        base = positive_loss(0, _ctx(feats, table, labels, "dot"), [], hp).item()
+        base = _pos(_ctx(feats, table, labels, "dot"), hp)[0]
         boosted = table.copy()
         boosted[labels[0]] += 0.5 * feats[0]
-        up = positive_loss(0, _ctx(feats, boosted, labels, "dot"), [], hp).item()
+        up = _pos(_ctx(feats, boosted, labels, "dot"), hp)[0]
         assert up < base
-
-
-def _pair_value(ctx, i, j):
-    from sslcl.similarity import pair_similarity
-    return pair_similarity(ctx, i, j).item()
 
 
 class TestNegativeLoss:
@@ -99,26 +86,25 @@ class TestNegativeLoss:
         hp = HyperParams(beta=0.5)
         ctx = _ctx(np.zeros((2, 2)), np.zeros((2, 2)), [0, 1])
         expected = -np.log(0.5) * 0.5 ** 0.5
-        for i in range(2):
-            assert abs(negative_loss(i, ctx, hp).item() - expected) < 1e-12
+        for value in _neg(ctx, hp):
+            assert abs(value - expected) < 1e-12
 
     def test_vanishes_when_own_label_dominates(self):
         hp = HyperParams()
         feats = np.array([[30.0, 0.0], [0.0, 30.0]])
         table = np.array([[1.0, 0.0], [0.0, 1.0]])
         ctx = _ctx(feats, table, [0, 1], measure="dot")
-        for i in range(2):
-            assert negative_loss(i, ctx, hp).item() < 1e-6
+        assert np.all(_neg(ctx, hp) < 1e-6)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(44)
         hp = HyperParams()
         for _ in range(40):
             feats, table, labels, _ = _instance(rng)
-            ctx = _ctx(feats, table, labels)
-            i = int(rng.integers(0, len(labels)))
-            expected = float(negative_loss_ld(feats, table, labels, i, hp.beta, "soft-hgr"))
-            assert abs(negative_loss(i, ctx, hp).item() - expected) < 1e-10
+            got = _neg(_ctx(feats, table, labels), hp)
+            for i in range(len(labels)):
+                expected = float(negative_loss_ld(feats, table, labels, i, hp.beta, "soft-hgr"))
+                assert abs(got[i] - expected) < 1e-10
 
 
 class TestLabelLabelLoss:
@@ -182,18 +168,6 @@ class TestSslclLoss:
                           + hp.label_loss_weight * breakdown.label_loss)
         assert breakdown.sslcl_loss == assembled == node.item()
 
-    def test_batched_matches_per_sample(self):
-        rng = np.random.default_rng(47)
-        hp = HyperParams()
-        for measure in ("soft-hgr", "dot", "cosine"):
-            feats, table, labels, views = _instance(rng, n=4, k=3, d=3, n_views=3)
-            ctx = _ctx(feats, table, labels, measure)
-            pos_vec, neg_vec = batched_sample_losses(ctx, [Tensor(v) for v in views], hp)
-            for i in range(4):
-                rows = [ad.gather_rows(Tensor(v), np.array([i])) for v in views]
-                assert abs(pos_vec.values[i] - positive_loss(i, ctx, rows, hp).item()) < 1e-10
-                assert abs(neg_vec.values[i] - negative_loss(i, ctx, hp).item()) < 1e-10
-
     def test_negative_term_can_be_dropped(self):
         rng = np.random.default_rng(48)
         feats, table, labels, _ = _instance(rng, n=3, k=3, d=2)
@@ -242,29 +216,36 @@ class TestCrossEntropy:
         assert np.isfinite(value.item())
 
 
+def _step_breakdown(**config_kwargs):
+    """Breakdown of one compute_step_loss call on a meld-like batch of 8."""
+    dataset = generate_synthetic(preset_spec("meld-like", 60, seed=3))
+    batch = next(batch_iter(dataset, 8, seed=0))
+    config = RunConfig(**config_kwargs)
+    store = init_params(dataset.header, config, np.random.default_rng(0))
+    return compute_step_loss(config, store.constants(), batch)[1]
+
+
 class TestTotalLoss:
+    """L_Train = L_SSLCL + ce_weight * L_CE, as the trainer assembles it."""
+
     def test_ce_weight_zero(self):
-        hp = HyperParams(ce_weight=1e-300)  # effectively zero, stays positive
-        breakdown = _fake_breakdown(sslcl=3.5, ce=2.0)
-        assert abs(total_loss(breakdown, hp) - 3.5) < 1e-12
+        breakdown = _step_breakdown(hp=HyperParams(ce_weight=1e-300))  # stays positive
+        assert breakdown.ce_loss > 0
+        assert breakdown.train_loss == breakdown.sslcl_loss
 
     def test_pure_ce(self):
-        breakdown = _fake_breakdown(sslcl=0.0, ce=2.5)
-        assert total_loss(breakdown, HyperParams(ce_weight=1.0)) == 2.5
+        breakdown = _step_breakdown(loss_mode="ce-only")
+        assert breakdown.sslcl_loss == 0.0
+        assert breakdown.train_loss == breakdown.ce_loss > 0
 
     def test_linear_in_ce_weight(self):
-        breakdown = _fake_breakdown(sslcl=1.25, ce=0.75)
-        values = {eta: total_loss(breakdown, HyperParams(ce_weight=eta))
-                  for eta in (0.5, 1.0, 2.0)}
-        for eta, value in values.items():
-            assert abs(value - (1.25 + eta * 0.75)) < 1e-12
-
-
-def _fake_breakdown(sslcl, ce):
-    from sslcl.losses import LossBreakdown
-    return LossBreakdown(positive_terms=np.zeros(1), negative_terms=np.zeros(1),
-                         sample_weights=np.ones(1), label_loss=0.0,
-                         sslcl_loss=sslcl, ce_loss=ce)
+        parts = set()
+        for eta in (0.5, 1.0, 2.0):
+            breakdown = _step_breakdown(hp=HyperParams(ce_weight=eta))
+            assert breakdown.train_loss == breakdown.sslcl_loss + eta * breakdown.ce_loss
+            parts.add((breakdown.sslcl_loss, breakdown.ce_loss))
+        # The weight scales the cross entropy only; neither term moves with it.
+        assert len(parts) == 1
 
 
 class TestSupConLoss:

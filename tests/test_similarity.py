@@ -3,8 +3,7 @@ import pytest
 
 from sslcl import autodiff as ad
 from sslcl.autodiff import DegenerateBatchError, Tape, Tensor
-from sslcl.similarity import (build_context, pair_similarity, sim_matrix,
-                              soft_hgr_batch, soft_hgr_pair, view_sim_vector)
+from sslcl.similarity import build_context, sim_matrix, soft_hgr_batch, view_sim_vector
 
 from oracles import pair_sim_ld, soft_hgr_batch_ld, soft_hgr_pair_ld, view_sim_ld
 
@@ -16,8 +15,6 @@ def _random_instance(rng, n=None, k=None, d=None):
     feats = rng.standard_normal((n, d))
     table = rng.standard_normal((k, d))
     labels = rng.integers(0, k, size=n)
-    if len(np.unique(labels)) < 1:
-        labels[0] = 0
     return feats, table, labels
 
 
@@ -60,24 +57,24 @@ class TestSoftHgrBatch:
 
 
 class TestDecomposition:
+    """Entry (i, j) of sim_matrix is the per-pair Soft-HGR similarity."""
+
     def test_pair_sum_recovers_batch(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             feats, table, labels = _random_instance(rng)
             ctx = build_context(Tensor(feats), Tensor(table), labels)
-            total = sum(
-                soft_hgr_pair(ctx, i, ad.gather_rows(ctx.centered_labels,
-                                                     np.array([labels[i]]))).item()
-                for i in range(len(labels)))
+            mat = sim_matrix(ctx).values
+            total = sum(mat[i, labels[i]] for i in range(len(labels)))
             assert abs(total - soft_hgr_batch(ctx).item()) < 1e-10
 
     def test_pair_hand_case(self):
         feats = np.array([[1.5], [-0.5]])
         table = np.array([[1.0], [-1.0]])
         ctx = build_context(Tensor(feats), Tensor(table), [0, 1])
+        mat = sim_matrix(ctx).values
         for i in range(2):
-            row = ad.gather_rows(ctx.centered_labels, np.array([[0, 1][i]]))
-            assert abs(soft_hgr_pair(ctx, i, row).item() - 0.0) < 1e-12
+            assert abs(mat[i, [0, 1][i]] - 0.0) < 1e-12
 
     def test_pair_matches_extended_precision(self):
         rng = np.random.default_rng(24)
@@ -86,11 +83,10 @@ class TestDecomposition:
             ctx = build_context(Tensor(feats), Tensor(table), labels)
             i = int(rng.integers(0, len(labels)))
             j = int(rng.integers(0, table.shape[0]))
-            row = ad.gather_rows(ctx.centered_labels, np.array([j]))
             expected = float(soft_hgr_pair_ld(
                 feats, table, labels, i, np.asarray(table, np.longdouble)[j]
                 - np.asarray(table, np.longdouble).mean(axis=0)))
-            assert abs(soft_hgr_pair(ctx, i, row).item() - expected) < 1e-10
+            assert abs(sim_matrix(ctx).values[i, j] - expected) < 1e-10
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(25)
@@ -98,48 +94,38 @@ class TestDecomposition:
         offset = rng.standard_normal(3) * 10
         ctx = build_context(Tensor(feats), Tensor(table), labels)
         ctx_shifted = build_context(Tensor(feats + offset), Tensor(table), labels)
-        for i in range(4):
-            row = ad.gather_rows(ctx.centered_labels, np.array([labels[i]]))
-            row_s = ad.gather_rows(ctx_shifted.centered_labels, np.array([labels[i]]))
-            assert abs(soft_hgr_pair(ctx, i, row).item()
-                       - soft_hgr_pair(ctx_shifted, i, row_s).item()) < 1e-10
+        np.testing.assert_allclose(sim_matrix(ctx_shifted).values, sim_matrix(ctx).values,
+                                   rtol=0, atol=1e-10)
 
 
 class TestPairSimilarityDispatch:
+    """sim_matrix entries under each measure."""
+
     def test_dot(self):
         ctx = build_context(Tensor([[1.0, 2.0], [0.0, 0.0]]),
                             Tensor([[3.0, 4.0], [1.0, 1.0]]), [0, 1], measure="dot")
-        assert pair_similarity(ctx, 0, 0).item() == 11.0
+        assert sim_matrix(ctx).values[0, 0] == 11.0
 
     def test_cosine_parallel_vectors(self):
         ctx = build_context(Tensor([[2.0, 0.0], [0.0, 1.0]]),
                             Tensor([[4.0, 0.0], [1.0, 1.0]]), [0, 1], measure="cosine")
-        assert abs(pair_similarity(ctx, 0, 0).item() - 1.0) < 1e-9
+        assert abs(sim_matrix(ctx).values[0, 0] - 1.0) < 1e-9
 
     def test_cosine_zero_vector_uses_floor(self):
         ctx = build_context(Tensor([[0.0, 0.0], [1.0, 0.0]]),
                             Tensor([[1.0, 1.0], [2.0, 0.0]]), [0, 1], measure="cosine")
-        assert pair_similarity(ctx, 0, 0).item() == 0.0
-
-    def test_soft_hgr_path_is_bitwise_equal(self):
-        rng = np.random.default_rng(26)
-        feats, table, labels = _random_instance(rng)
-        ctx = build_context(Tensor(feats), Tensor(table), labels)
-        for i in range(len(labels)):
-            for j in range(table.shape[0]):
-                via_dispatch = pair_similarity(ctx, i, j).item()
-                row = ad.gather_rows(ctx.centered_labels, np.array([j]))
-                assert via_dispatch == soft_hgr_pair(ctx, i, row).item()
+        assert sim_matrix(ctx).values[0, 0] == 0.0
 
     def test_all_measures_match_oracle(self):
         rng = np.random.default_rng(27)
         for measure in ("soft-hgr", "dot", "cosine"):
             feats, table, labels = _random_instance(rng, n=4, k=3, d=3)
             ctx = build_context(Tensor(feats), Tensor(table), labels, measure=measure)
+            mat = sim_matrix(ctx).values
             for i in range(4):
                 for j in range(3):
                     expected = float(pair_sim_ld(feats, table, labels, i, j, measure))
-                    assert abs(pair_similarity(ctx, i, j).item() - expected) < 1e-10
+                    assert abs(mat[i, j] - expected) < 1e-10
 
 
 class TestSimMatrix:
@@ -151,7 +137,8 @@ class TestSimMatrix:
             mat = sim_matrix(ctx).values
             for i in range(feats.shape[0]):
                 for j in range(table.shape[0]):
-                    assert abs(mat[i, j] - pair_similarity(ctx, i, j).item()) < 1e-10
+                    expected = float(pair_sim_ld(feats, table, labels, i, j, measure))
+                    assert abs(mat[i, j] - expected) < 1e-10
 
     def test_single_sample_falls_back_to_dot(self):
         feats = np.array([[1.0, 2.0]])
