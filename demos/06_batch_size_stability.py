@@ -9,7 +9,7 @@ whatever cross entropy alone can do; the sample-label objective keeps its
 label-anchored positives at every size.
 
 Reduced scale so it finishes in about two minutes; the acceptance suite
-runs the full protocol.
+runs the full protocol. The line plot is written to the working directory.
 """
 
 from sslcl import batch_size_sweep, generate_synthetic, preset_spec
@@ -24,6 +24,6 @@ sweep = batch_size_sweep(config, dataset, sizes=(2, 8, 32),
                          modes=("sslcl", "supcon", "ce-only"), equalize_steps=True)
 print(sweep_summary(sweep))
 
-with open("/tmp/sslcl_demo_sweep.svg", "w", encoding="utf-8") as fh:
+with open("sslcl_demo_sweep.svg", "w", encoding="utf-8") as fh:
     fh.write(sweep_svg(sweep))
-print("line plot written to /tmp/sslcl_demo_sweep.svg")
+print("line plot written to sslcl_demo_sweep.svg in the working directory")

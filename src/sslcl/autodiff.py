@@ -10,6 +10,7 @@ vectors, matrices); there is no general broadcasting.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -47,44 +48,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar over the module-level primitives.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_const(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_const(self, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div(self, other)
-        return scale(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __pow__(self, exponent: float):
-        return pow_const(self, float(exponent))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    @property
-    def T(self):
-        return transpose(self)
-
 
 class Tape:
     """Ordered op record plus the parameter registry.
@@ -106,22 +69,26 @@ class Tape:
         self._params[name] = node
         return node
 
-    def constant(self, values) -> Tensor:
-        return Tensor(values, tape=self, requires_grad=False)
-
-    @property
-    def parameter_names(self) -> list[str]:
-        return list(self._params)
-
     def gradients(self, loss: Tensor) -> dict[str, np.ndarray]:
         """Return d(loss)/d(param) for every registered parameter.
 
         The loss must be a scalar node from this tape's forward pass.
+        Every VJP maps a non-finite adjoint to a non-finite output and every
+        differentiable node drains into a parameter, so checking the returned
+        gradients catches any non-finite VJP output; only then are the
+        records walked again with a check after each VJP, to name the op.
         """
         if loss.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
         if loss.tape is not None and loss.tape is not self:
             raise ValueError("loss was computed on a different tape")
+        with np.errstate(all="ignore"):
+            grads = self._backward(loss, check=False)
+        if all(_all_finite(g) for g in grads.values()):
+            return grads
+        return self._backward(loss, check=True)
+
+    def _backward(self, loss: Tensor, *, check: bool) -> dict[str, np.ndarray]:
         adjoint: dict[int, np.ndarray] = {id(loss): np.asarray(1.0)}
         for op_name, out, inputs, vjp in reversed(self._records):
             out_grad = adjoint.get(id(out))
@@ -130,7 +97,7 @@ class Tape:
             for node, grad in zip(inputs, vjp(out_grad)):
                 if grad is None or not node.requires_grad:
                     continue
-                if not np.all(np.isfinite(grad)):
+                if check and not _all_finite(grad):
                     raise NonFiniteError(f"backward of {op_name} produced non-finite values")
                 seen = adjoint.get(id(node))
                 adjoint[id(node)] = grad if seen is None else seen + grad
@@ -138,6 +105,17 @@ class Tape:
             name: np.array(adjoint.get(id(node), np.zeros_like(node.values)))
             for name, node in self._params.items()
         }
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Exactly np.isfinite(values).all(), but one cheap reduction when true.
+
+    NaN and infinity propagate through a sum, so a finite sum means every
+    element is finite; a sum that overflows from finite terms falls back to
+    the elementwise test. numpy warns when the sum overflows or meets both
+    infinities; the result is still exact.
+    """
+    return math.isfinite(values.sum()) or bool(np.isfinite(values).all())
 
 
 def _lift(x) -> Tensor:
@@ -158,7 +136,7 @@ def _join_tape(inputs: Iterable[Tensor]) -> Tape | None:
 
 def _make(op_name: str, out_values: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     out_values = _as_array(out_values)
-    if not np.all(np.isfinite(out_values)):
+    if not _all_finite(out_values):
         raise NonFiniteError(f"{op_name} produced non-finite values")
     tape = _join_tape(inputs)
     requires = any(t.requires_grad for t in inputs)

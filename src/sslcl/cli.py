@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import write_text
 from .data import PRESETS, generate_synthetic, load_features, preset_spec, save_jsonl, split_dataset
 from .evaluation import (DEFAULT_SWEEP_SIZES, SWEEP_MODES, ablation_suite, batch_size_sweep,
                          write_ablation_report, write_sweep_report)
@@ -150,8 +151,7 @@ def _cmd_sweep_batch(args) -> int:
                              equalize_steps=not args.no_equalize_steps)
     out = Path(args.out)
     write_sweep_report(out, sweep, dataset.header.num_labels, svg=args.svg)
-    (out / "base_config.json").write_text(
-        json.dumps(config_to_flat(config), indent=2), encoding="utf-8")
+    write_text(out / "base_config.json", json.dumps(config_to_flat(config), indent=2))
     print((out / "summary.txt").read_text(encoding="utf-8"))
     return 0
 
@@ -162,8 +162,7 @@ def _cmd_ablate(args) -> int:
     report = ablation_suite(config, dataset, jobs=args.jobs)
     out = Path(args.out)
     write_ablation_report(out, report, dataset.header.num_labels)
-    (out / "base_config.json").write_text(
-        json.dumps(config_to_flat(config), indent=2), encoding="utf-8")
+    write_text(out / "base_config.json", json.dumps(config_to_flat(config), indent=2))
     print((out / "summary.txt").read_text(encoding="utf-8"))
     return 0
 

@@ -16,6 +16,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._files import atomic_open
+
 MODALITY_SIGNAL = {"text": 1.0, "audio": 0.55, "visual": 0.55}
 CENTER_JITTER = 0.15
 DIALOGUE_LENGTH = 8
@@ -175,7 +177,7 @@ def generate_synthetic(spec: SyntheticSpec) -> FeatureDataset:
 
 
 def save_jsonl(dataset: FeatureDataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(dataset.header.to_json_obj()) + "\n")
         for rec in dataset.records:
             fh.write(json.dumps({

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._files import write_text
 from .data import FeatureDataset, split_dataset
 from .metrics import weighted_f1
 from .trainer import RunConfig, config_to_flat, predict, train
@@ -342,15 +343,15 @@ def sweep_svg(sweep: SweepResult) -> str:
 def write_sweep_report(out_dir, sweep: SweepResult, num_labels: int, *, svg: bool = False) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(sweep_to_csv(sweep, num_labels), encoding="utf-8")
-    (out / "summary.txt").write_text(sweep_summary(sweep), encoding="utf-8")
+    write_text(out / "sweep.csv", sweep_to_csv(sweep, num_labels))
+    write_text(out / "summary.txt", sweep_summary(sweep))
     if svg:
-        (out / "sweep.svg").write_text(sweep_svg(sweep), encoding="utf-8")
+        write_text(out / "sweep.svg", sweep_svg(sweep))
 
 
 def write_ablation_report(out_dir, report: AblationReport, num_labels: int) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "ablation.csv").write_text(ablation_to_csv(report, num_labels), encoding="utf-8")
-    (out / "summary.txt").write_text(ablation_summary(report), encoding="utf-8")
-    (out / "arms.json").write_text(json.dumps(report.arm_configs, indent=2), encoding="utf-8")
+    write_text(out / "ablation.csv", ablation_to_csv(report, num_labels))
+    write_text(out / "summary.txt", ablation_summary(report))
+    write_text(out / "arms.json", json.dumps(report.arm_configs, indent=2))

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from ._files import atomic_open
 from .autodiff import Tape, Tensor
 from .data import DatasetHeader, FeatureBatch, FeatureDataset, batch_iter, records_to_batch
 from .encoder import FULL_MASK, MODALITY_SETTINGS, augmentation_views, classify, encode, init_encoder_params
@@ -301,7 +302,7 @@ def train(config: RunConfig, dataset: FeatureDataset, *, seed: int,
 
 def write_metrics_log(path, config: RunConfig, result: TrainResult) -> None:
     """JSONL artifact: a config header line, then the per-step/epoch records."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps({"config": config_to_flat(config)}) + "\n")
         for line in result.metrics_lines:
             fh.write(line + "\n")
@@ -315,7 +316,7 @@ def save_checkpoint(path, store: ParameterStore, config: RunConfig) -> None:
             for name, arr in store.arrays.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(obj))
 
 

@@ -233,3 +233,38 @@ class TestFiniteness:
     def test_div_by_zero_raises(self):
         with pytest.raises(NonFiniteError):
             ad.div(Tensor([1.0]), Tensor([0.0]))
+
+
+class TestFinitenessContract:
+    """Every forward value is checked when it is made; gradients are checked
+    once per `gradients` call and a failure names the op whose VJP made it."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_values_whose_sum_overflows_pass(self):
+        out = ad.add_const(Tensor([1e308, 1e308]), 0.0)
+        np.testing.assert_array_equal(out.values, [1e308, 1e308])
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf],
+                                        [np.inf, -np.inf]],
+                             ids=["nan", "+inf", "-inf", "+inf-and--inf"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_values_raise(self, values):
+        with pytest.raises(NonFiniteError, match=r"^add_const produced non-finite values$"):
+            ad.add_const(Tensor(values), 0.0)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
+    def test_non_finite_vjp_output_names_the_op(self):
+        # Forward 1 / 1e-200 = 1e200 is finite; d/dy = -x / y**2 is not.
+        tape = Tape()
+        x = tape.leaf("x", np.array([1.0]))
+        y = tape.leaf("y", np.array([1e-200]))
+        loss = ad.sum_all(ad.scale(ad.div(x, y), 1e-300))
+        with pytest.raises(NonFiniteError,
+                           match=r"^backward of div produced non-finite values$"):
+            tape.gradients(loss)
+
+    def test_non_finite_vjp_output_for_a_constant_is_ignored(self):
+        tape = Tape()
+        x = tape.leaf("x", np.array([1.0]))
+        grads = tape.gradients(ad.sum_all(ad.div(x, Tensor([1e-200]))))
+        np.testing.assert_array_equal(grads["x"], [1e200])

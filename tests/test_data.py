@@ -88,6 +88,18 @@ class TestJsonlRoundTrip:
         assert loaded.records[3].audio is None
         assert loaded.records[5].visual is None
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        dataset = generate_synthetic(preset_spec("iemocap-like", 12, seed=2))
+        path = tmp_path / "data.jsonl"
+        save_jsonl(dataset, path)
+        before = path.read_bytes()
+        # Records 0-4 are written before record 5 fails to serialize.
+        dataset.records[5].label = object()
+        with pytest.raises(TypeError):
+            save_jsonl(dataset, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_conforming_row_parses(self, tmp_path):
         path = tmp_path / "ok.jsonl"
         path.write_text(

@@ -11,6 +11,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 QUICK_DEMOS = sorted((ROOT / "demos").glob("0[1-3]_*.py"))
+# Files a demo writes; they must land in its working directory.
+DEMO_OUTPUTS = {"01_generate_dataset": ["sslcl_demo_data.jsonl"]}
 
 
 def test_quick_demos_found():
@@ -23,3 +25,5 @@ def test_demo_exits_zero(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    for name in DEMO_OUTPUTS.get(demo.stem, []):
+        assert (tmp_path / name).is_file(), f"{demo.stem} did not write {name} into its cwd"

@@ -1,13 +1,16 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sslcl.data import generate_synthetic, preset_spec, split_dataset
+from sslcl.cli import main
+from sslcl.data import FeatureDataset, generate_synthetic, preset_spec, save_jsonl, split_dataset
 from sslcl.losses import HyperParams
-from sslcl.trainer import (Adam, ConfigError, ParameterStore, RunConfig,
-                           config_from_flat, config_to_flat, gradcheck,
-                           load_checkpoint, predict, save_checkpoint, train)
+from sslcl.trainer import (Adam, ConfigError, NonFiniteLossError, ParameterStore, RunConfig,
+                           TrainResult, config_from_flat, config_to_flat, gradcheck,
+                           load_checkpoint, predict, save_checkpoint, train,
+                           write_metrics_log)
 
 
 class TestAdam:
@@ -176,6 +179,62 @@ class TestCheckpoint:
         save_checkpoint(p1, train(config, tiny_dataset, seed=0).store, config)
         save_checkpoint(p2, train(config, tiny_dataset, seed=0).store, config)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestAtomicWrites:
+    """A write that fails part-way leaves the previous file and no temp file."""
+
+    def test_failed_metrics_log_keeps_previous_file(self, tiny_dataset, tmp_path):
+        config = _tiny_config()
+        result = train(config, tiny_dataset, seed=0)
+        path = tmp_path / "metrics.jsonl"
+        write_metrics_log(path, config, result)
+        before = path.read_bytes()
+        # The header line is written before the bad record fails.
+        broken = TrainResult(result.store, result.metrics_lines[:3] + [None], [], 0)
+        with pytest.raises(TypeError):
+            write_metrics_log(path, config, broken)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_checkpoint_keeps_previous_file(self, tiny_dataset, tmp_path):
+        config = _tiny_config()
+        store = train(config, tiny_dataset, seed=0).store
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, store, config)
+        before = path.read_bytes()
+        broken = ParameterStore(dict(store.arrays))
+        broken.arrays["head.bias"] = np.array([object()])  # json cannot encode it
+        with pytest.raises(TypeError):
+            save_checkpoint(path, broken, config)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+
+def _blown_up(dataset):
+    """Text features so large that squaring the fused features overflows."""
+    return FeatureDataset(dataset.header,
+                          [replace(r, text=r.text * 1e200) for r in dataset.records])
+
+
+class TestDivergence:
+    """A real overflow inside training, not a patched one."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_abort_names_op_step_and_epoch(self, tiny_dataset):
+        with pytest.raises(NonFiniteLossError,
+                           match=r"^aborted at step 0 \(epoch 0\): mul produced non-finite values$"):
+            train(_tiny_config(), _blown_up(tiny_dataset), seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_cli_train_exits_two(self, tiny_dataset, tmp_path, capsys):
+        path = tmp_path / "blown.jsonl"
+        save_jsonl(_blown_up(tiny_dataset), path)
+        code = main(["train", "--data", str(path), "--out", str(tmp_path / "run"),
+                     "--set", "epochs=1", "--set", "seeds=[0]"])
+        assert code == 2
+        assert ("runtime failure: aborted at step 0 (epoch 0): mul produced non-finite values"
+                in capsys.readouterr().err)
 
 
 class TestPredict:
