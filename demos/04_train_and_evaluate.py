@@ -5,6 +5,8 @@ after training (pairwise cosines shrink as the discrimination term pushes
 the rows apart), and the head-vs-similarity prediction modes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from sslcl import embed_labels, generate_synthetic, predict, preset_spec, train, weighted_f1
@@ -38,8 +40,8 @@ print(f"\nlabel-embedding pairwise cosines: "
 
 golds = [r.label for r in splits.test.records]
 for predictor in ("head", "similarity"):
-    config.predictor = predictor
-    preds = predict(result.store, dataset.header, splits.test.records, config)
+    preds = predict(result.store, dataset.header, splits.test.records,
+                    replace(config, predictor=predictor))
     wf1, per_class = weighted_f1(preds, golds, dataset.header.num_labels)
     print(f"\n{predictor} predictor: test w-F1 {wf1:.4f}")
     print("  per-class F1: " + " ".join(f"{v:.3f}" for v in per_class))

@@ -75,8 +75,9 @@ class Tape:
         The loss must be a scalar node from this tape's forward pass.
         Every VJP maps a non-finite adjoint to a non-finite output and every
         differentiable node drains into a parameter, so checking the returned
-        gradients catches any non-finite VJP output; only then are the
-        records walked again with a check after each VJP, to name the op.
+        gradients catches any non-finite VJP output or accumulated adjoint;
+        only then are the records walked again with a check after each VJP,
+        to name the op.
         """
         if loss.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
@@ -97,10 +98,12 @@ class Tape:
             for node, grad in zip(inputs, vjp(out_grad)):
                 if grad is None or not node.requires_grad:
                     continue
-                if check and not _all_finite(grad):
-                    raise NonFiniteError(f"backward of {op_name} produced non-finite values")
                 seen = adjoint.get(id(node))
                 adjoint[id(node)] = grad if seen is None else seen + grad
+                # The accumulated adjoint, not only this VJP's output: two
+                # finite outputs can overflow when added. `seen` was finite.
+                if check and not _all_finite(adjoint[id(node)]):
+                    raise NonFiniteError(f"backward of {op_name} produced non-finite values")
         return {
             name: np.array(adjoint.get(id(node), np.zeros_like(node.values)))
             for name, node in self._params.items()

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import BrokenExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -55,15 +56,13 @@ def _build_config(args) -> tuple[RunConfig, str | None]:
     data_path = flat.pop("data", None)
     if getattr(args, "data", None):
         data_path = args.data
-    config = config_from_flat(flat)
     env_seeds = os.environ.get(SEED_ENV_VAR)
     if env_seeds:
         try:
-            config.seeds = tuple(int(s) for s in env_seeds.split(","))
+            flat["seeds"] = [int(s) for s in env_seeds.split(",")]
         except ValueError as err:
             raise ConfigError(f"{SEED_ENV_VAR} must be comma-separated integers") from err
-        config.validate()
-    return config, data_path
+    return config_from_flat(flat), data_path
 
 
 def _require_data(data_path: str | None):
@@ -119,8 +118,7 @@ def _check_checkpoint_fits(store, header, config: RunConfig) -> None:
 def _cmd_eval(args) -> int:
     store, config = load_checkpoint(args.checkpoint)
     if args.predictor:
-        config.predictor = args.predictor
-        config.validate()
+        config = replace(config, predictor=args.predictor)
     dataset = load_features(args.data)
     _check_checkpoint_fits(store, dataset.header, config)
     if args.split == "all":

@@ -155,10 +155,9 @@ def batch_size_sweep(config: RunConfig, dataset: FeatureDataset,
     arm_of: dict[tuple[str, int], str] = {}
     for mode in modes:
         for size in sizes:
-            arm = replace(config, loss_mode=mode, batch_size=size)
-            arm.hp = replace(config.hp)
-            if equalize_steps:
-                arm.epochs = max(1, round(base_steps / np.ceil(n_train / size)))
+            epochs = (max(1, round(base_steps / np.ceil(n_train / size))) if equalize_steps
+                      else config.epochs)
+            arm = replace(config, loss_mode=mode, batch_size=size, epochs=epochs)
             key = canonical_config_json(arm)
             arm_configs[key] = arm
             arm_of[(mode, size)] = key
@@ -188,49 +187,18 @@ def sweep_to_csv(sweep: SweepResult, num_labels: int) -> str:
 
 # --- ablations ---------------------------------------------------------------
 
-def _component_flags(config: RunConfig, *, drop_augmentation=False, drop_negative=False,
-                     drop_label_label=False) -> RunConfig:
-    arm = replace(config)
-    arm.hp = replace(config.hp)
-    if drop_augmentation:
-        arm.augmentation = False
-    if drop_negative:
-        arm.use_negative_loss = False
-    if drop_label_label:
-        arm.hp.label_loss_weight = 0.0
-    return arm
-
-
 def ablation_arms(config: RunConfig) -> dict[str, RunConfig]:
     """Named arm configs: similarity measures, component removals, LE depths."""
-    full = replace(config)
-    full.hp = replace(config.hp)
-    arms = {"full": full}
-    for measure in ("dot", "cosine"):
-        arm = replace(full, measure=measure)
-        arm.hp = replace(config.hp)
-        arms[f"measure={measure}"] = arm
-    arms["-augmentation"] = _component_flags(full, drop_augmentation=True)
-    arms["-negative"] = _component_flags(full, drop_negative=True)
-    arms["-label-label"] = _component_flags(full, drop_label_label=True)
-    emb_only = replace(full, le_depth="embedding-only", label_embed_dim=config.feature_dim)
-    emb_only.hp = replace(config.hp)
-    arms["le=embedding-only"] = emb_only
-    three = replace(full, le_depth="three-layer")
-    three.hp = replace(config.hp)
-    arms["le=three-layer"] = three
-    return arms
-
-
-def _assert_config_dedup(config: RunConfig) -> None:
-    # Removing all three components at once must equal composing the flags.
-    combined = _component_flags(config, drop_augmentation=True, drop_negative=True,
-                                drop_label_label=True)
-    stepwise = _component_flags(
-        _component_flags(_component_flags(config, drop_augmentation=True),
-                         drop_negative=True), drop_label_label=True)
-    if canonical_config_json(combined) != canonical_config_json(stepwise):
-        raise AssertionError("component-removal configs failed to canonicalize equally")
+    return {
+        "full": config,
+        "measure=dot": replace(config, measure="dot"),
+        "measure=cosine": replace(config, measure="cosine"),
+        "-augmentation": replace(config, augmentation=False),
+        "-negative": replace(config, use_negative_loss=False),
+        "-label-label": replace(config, hp=replace(config.hp, label_loss_weight=0.0)),
+        "le=embedding-only": replace(config, le_depth="embedding-only"),
+        "le=three-layer": replace(config, le_depth="three-layer"),
+    }
 
 
 @dataclass
@@ -245,7 +213,6 @@ class AblationReport:
 
 def ablation_suite(config: RunConfig, dataset: FeatureDataset,
                    seeds: Sequence[int] | None = None, jobs: int = 1) -> AblationReport:
-    _assert_config_dedup(config)
     seeds = list(config.seeds if seeds is None else seeds)
     arms = ablation_arms(config)
     unique = {canonical_config_json(c): c for c in arms.values()}

@@ -22,7 +22,7 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
 
 
 def init_label_params(num_labels: int, feature_dim: int, embed_dim: int, depth: str,
-                      rng: np.random.Generator, hidden_dim: int | None = None) -> dict[str, np.ndarray]:
+                      rng: np.random.Generator) -> dict[str, np.ndarray]:
     if depth not in DEPTHS:
         raise ValueError(f"unknown label-embedding depth {depth!r}")
     if depth == "embedding-only" and embed_dim != feature_dim:
@@ -34,10 +34,9 @@ def init_label_params(num_labels: int, feature_dim: int, embed_dim: int, depth: 
         params["label.project_w"] = _uniform_init(rng, (feature_dim, embed_dim), embed_dim)
         params["label.project_b"] = np.zeros(feature_dim)
     elif depth == "three-layer":
-        hidden = embed_dim if hidden_dim is None else hidden_dim
-        params["label.hidden_w"] = _uniform_init(rng, (hidden, embed_dim), embed_dim)
-        params["label.hidden_b"] = np.zeros(hidden)
-        params["label.project_w"] = _uniform_init(rng, (feature_dim, hidden), hidden)
+        params["label.hidden_w"] = _uniform_init(rng, (embed_dim, embed_dim), embed_dim)
+        params["label.hidden_b"] = np.zeros(embed_dim)
+        params["label.project_w"] = _uniform_init(rng, (feature_dim, embed_dim), embed_dim)
         params["label.project_b"] = np.zeros(feature_dim)
     return params
 

@@ -22,11 +22,12 @@ from .similarity import SimilarityContext
 LOG_FLOOR = 1e-300
 
 
-@dataclass
+@dataclass(frozen=True)
 class HyperParams:
     """Loss hyperparameters. alpha/beta are the positive/negative focusing
     exponents, gamma the sample-weight exponent, label_loss_weight the
-    label-label trade-off, ce_weight the cross-entropy trade-off."""
+    label-label trade-off, ce_weight the cross-entropy trade-off. Checked
+    on construction."""
 
     alpha: float = 2.0
     beta: float = 0.5
@@ -35,7 +36,7 @@ class HyperParams:
     ce_weight: float = 1.0
     supcon_temperature: float = 0.07
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "ce_weight", "supcon_temperature"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"hyperparameter {name} must be strictly positive")

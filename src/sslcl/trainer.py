@@ -37,8 +37,11 @@ class NonFiniteLossError(RuntimeError):
     """Training aborted because a loss term stopped being finite."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, checked on construction; derive a variant with
+    dataclasses.replace."""
+
     hp: HyperParams = field(default_factory=HyperParams)
     measure: str = "soft-hgr"
     le_depth: str = "two-layer"
@@ -53,20 +56,16 @@ class RunConfig:
     use_negative_loss: bool = True
     hidden_dim: int = 16
     feature_dim: int = 8
-    label_embed_dim: int | None = None
-    le_hidden_dim: int | None = None
     predictor: str = "head"
     split_seed: int = 20240
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
-    def resolved_embed_dim(self) -> int:
-        # Default table width is twice the feature dimension.
-        return 2 * self.feature_dim if self.label_embed_dim is None else self.label_embed_dim
+    @property
+    def label_embed_dim(self) -> int:
+        """Label table width: the feature dimension for the embedding-only
+        net, which has no projection to reach it, otherwise twice that."""
+        return self.feature_dim if self.le_depth == "embedding-only" else 2 * self.feature_dim
 
-    def validate(self) -> None:
-        self.hp.validate()
+    def __post_init__(self) -> None:
         if self.measure not in MEASURES:
             raise ConfigError(f"measure must be one of {MEASURES}, got {self.measure!r}")
         if self.le_depth not in DEPTHS:
@@ -81,49 +80,51 @@ class RunConfig:
             raise ConfigError("batch_size and epochs must be at least 1")
         if not self.seeds:
             raise ConfigError("seed list must not be empty")
-        if self.le_depth == "embedding-only" and self.resolved_embed_dim() != self.feature_dim:
-            raise ConfigError("embedding-only label net needs label_embed_dim == feature_dim")
 
 
-_HP_KEYS = ("alpha", "beta", "gamma", "label_loss_weight", "ce_weight", "supcon_temperature")
-_PLAIN_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "hp")
-FLAT_KEYS = tuple(f"hp.{k}" for k in _HP_KEYS) + _PLAIN_KEYS
+# Flat key -> field annotation (a string, under `from __future__ import
+# annotations`), in artifact order: artifact bytes and config hashes depend
+# on this order.
+_HP_FIELDS = {f"hp.{f.name}": f.type for f in fields(HyperParams)}
+_RUN_FIELDS = {f.name: f.type for f in fields(RunConfig) if f.name != "hp"}
+FLAT_KEYS = tuple(_HP_FIELDS) + tuple(_RUN_FIELDS)
 
 
 def config_to_flat(config: RunConfig) -> dict:
     """Flat, fixed-order key/value view of a config (the CLI namespace)."""
-    out = {f"hp.{k}": getattr(config.hp, k) for k in _HP_KEYS}
-    for key in _PLAIN_KEYS:
-        value = getattr(config, key)
-        out[key] = list(value) if key == "seeds" else value
+    out = {key: getattr(config.hp, key[3:]) for key in _HP_FIELDS}
+    out.update((key, getattr(config, key)) for key in _RUN_FIELDS)
+    out["seeds"] = list(config.seeds)
     return out
 
 
-def config_from_flat(values: dict, base: RunConfig | None = None) -> RunConfig:
-    """Build a config from flat keys; unknown keys raise naming the key."""
-    config = replace(base) if base is not None else RunConfig()
-    config.hp = replace(config.hp)
+def _checked(key: str, kind: str, value):
+    """`value` for a field annotated `kind`: a bool is never a number, an int
+    field takes only integral numbers, a float field also takes integers."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "float" and number:
+        return float(value)
+    if kind == "int" and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if (kind == "bool" and isinstance(value, bool)) or (kind == "str" and isinstance(value, str)):
+        return value
+    if kind == "tuple[int, ...]" and isinstance(value, (list, tuple)):
+        return tuple(_checked(key, "int", v) for v in value)
+    raise ConfigError(f"config key {key!r} expects {kind}, got {value!r}")
+
+
+def config_from_flat(values: dict) -> RunConfig:
+    """Build a config from flat keys; an unknown key or a value of the wrong
+    type raises naming the key."""
+    hp, run = {}, {}
     for key, value in values.items():
-        if key not in FLAT_KEYS:
-            raise ConfigError(f"unknown config key: {key!r}")
-        if key.startswith("hp."):
-            setattr(config.hp, key[3:], float(value))
-        elif key == "seeds":
-            config.seeds = tuple(int(v) for v in value)
-        elif key in ("label_embed_dim", "le_hidden_dim"):
-            setattr(config, key, None if value is None else int(value))
-        elif key in ("batch_size", "epochs", "hidden_dim", "feature_dim", "split_seed"):
-            setattr(config, key, int(value))
-        elif key in ("encoder_lr", "label_net_lr", "adam_beta1", "adam_beta2", "adam_eps"):
-            setattr(config, key, float(value))
-        elif key in ("augmentation", "use_negative_loss"):
-            if not isinstance(value, bool):
-                raise ConfigError(f"config key {key!r} expects true/false")
-            setattr(config, key, value)
+        if key in _HP_FIELDS:
+            hp[key[3:]] = _checked(key, _HP_FIELDS[key], value)
+        elif key in _RUN_FIELDS:
+            run[key] = _checked(key, _RUN_FIELDS[key], value)
         else:
-            setattr(config, key, str(value))
-    config.validate()
-    return config
+            raise ConfigError(f"unknown config key: {key!r}")
+    return RunConfig(hp=HyperParams(**hp), **run)
 
 
 class ParameterStore:
@@ -150,8 +151,7 @@ class ParameterStore:
 def init_params(header: DatasetHeader, config: RunConfig, rng: np.random.Generator) -> ParameterStore:
     arrays = init_encoder_params(header, config.hidden_dim, config.feature_dim, rng)
     arrays.update(init_label_params(
-        header.num_labels, config.feature_dim, config.resolved_embed_dim(),
-        config.le_depth, rng, hidden_dim=config.le_hidden_dim))
+        header.num_labels, config.feature_dim, config.label_embed_dim, config.le_depth, rng))
     return ParameterStore(arrays)
 
 
@@ -251,15 +251,12 @@ class TrainResult:
 def train(config: RunConfig, dataset: FeatureDataset, *, seed: int,
           eval_dataset: FeatureDataset | None = None) -> TrainResult:
     """Optimize against the configured objective; fully deterministic per seed."""
-    config.validate()
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     rng = np.random.default_rng(seed)
     store = init_params(dataset.header, config, rng)
-    opt_encoder = Adam(store.encoder_names, config.encoder_lr,
-                       config.adam_beta1, config.adam_beta2, config.adam_eps)
-    opt_label = Adam(store.label_names, config.label_net_lr,
-                     config.adam_beta1, config.adam_beta2, config.adam_eps)
+    opt_encoder = Adam(store.encoder_names, config.encoder_lr)
+    opt_label = Adam(store.label_names, config.label_net_lr)
 
     lines: list[str] = []
     epoch_scores: list[dict] = []
@@ -363,16 +360,9 @@ class GradCheckReport:
 
 
 def _gradcheck_config(base: RunConfig, mode: str, rng: np.random.Generator) -> RunConfig:
-    config = replace(base)
-    config.hp = replace(base.hp)
-    config.feature_dim = int(rng.integers(2, 6))
-    config.hidden_dim = int(rng.integers(2, 5))
-    config.label_embed_dim = None
-    config.le_hidden_dim = None
-    config.loss_mode = "sslcl" if mode.startswith("sslcl") else mode
-    config.augmentation = mode == "sslcl+augmentation"
-    config.modality_setting = "trimodal"
-    return config
+    return replace(base, feature_dim=int(rng.integers(2, 6)), hidden_dim=int(rng.integers(2, 5)),
+                   loss_mode="sslcl" if mode.startswith("sslcl") else mode,
+                   augmentation=mode == "sslcl+augmentation", modality_setting="trimodal")
 
 
 def _random_instance(config: RunConfig, num_labels: int, rng: np.random.Generator

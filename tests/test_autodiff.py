@@ -263,6 +263,16 @@ class TestFinitenessContract:
                            match=r"^backward of div produced non-finite values$"):
             tape.gradients(loss)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_vjp_outputs_whose_sum_overflows_name_the_op(self):
+        # Each path carries a finite 1e308 to x; their sum is inf.
+        tape = Tape()
+        x = tape.leaf("x", np.array([1e-10]))
+        loss = ad.sum_all(ad.add(ad.scale(x, 1e308), ad.scale(x, 1e308)))
+        with pytest.raises(NonFiniteError,
+                           match=r"^backward of scale produced non-finite values$"):
+            tape.gradients(loss)
+
     def test_non_finite_vjp_output_for_a_constant_is_ignored(self):
         tape = Tape()
         x = tape.leaf("x", np.array([1.0]))

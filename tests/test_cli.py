@@ -68,6 +68,27 @@ class TestTrain:
         assert code == 1
         assert "hp.zeta" in capsys.readouterr().err
 
+    def test_value_of_wrong_type_exits_one_naming_it(self, data_file, tmp_path, capsys):
+        code = main(["train", "--data", str(data_file), "--out", str(tmp_path / "x")]
+                    + QUICK + ["--set", "batch_size=true"])
+        assert code == 1
+        assert "config key 'batch_size' expects int, got True" in capsys.readouterr().err
+
+    def test_dropped_key_in_config_file_exits_one(self, data_file, tmp_path, capsys):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"label_embed_dim": 3, "data": str(data_file)}))
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")] + QUICK)
+        assert code == 1
+        assert "unknown config key: 'label_embed_dim'" in capsys.readouterr().err
+
+    def test_embedding_only_depth_alone_trains(self, data_file, tmp_path):
+        out = tmp_path / "emb"
+        code = main(["train", "--data", str(data_file), "--out", str(out),
+                     "--set", "le_depth=embedding-only"] + QUICK)
+        assert code == 0
+        checkpoint = json.loads((out / "checkpoint_seed0.json").read_text())
+        assert checkpoint["parameters"]["label.embed"]["shape"] == [7, 3]  # feature_dim=3
+
     def test_env_seed_override(self, data_file, tmp_path, monkeypatch):
         monkeypatch.setenv("SSLCL_SEED", "5")
         out = tmp_path / "env_run"
@@ -121,6 +142,19 @@ class TestEval:
         path.write_text(json.dumps(checkpoint))
         assert main(["eval", "--checkpoint", str(path), "--data", str(data_file)]) == 1
         assert "label.project_b has shape None" in capsys.readouterr().err
+
+    def test_checkpoint_with_dropped_key_exits_one(self, data_file, tmp_path, capsys):
+        out = tmp_path / "run5"
+        assert main(["train", "--data", str(data_file), "--out", str(out)] + QUICK) == 0
+        path = out / "checkpoint_seed0.json"
+        checkpoint = json.loads(path.read_text())
+        checkpoint["config"]["adam_beta1"] = 0.9
+        path.write_text(json.dumps(checkpoint))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path), "--data", str(data_file)]) == 1
+        captured = capsys.readouterr()
+        assert "unknown config key: 'adam_beta1'" in captured.err
+        assert "w-F1" not in captured.out
 
     def test_missing_checkpoint_is_runtime_failure(self, data_file, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.json"),

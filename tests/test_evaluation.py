@@ -6,6 +6,7 @@ from sslcl.evaluation import (ablation_arms, ablation_suite, ablation_summary,
                               ablation_to_csv, batch_size_sweep, canonical_config_json,
                               sweep_svg, sweep_to_csv, train_and_score, write_ablation_report,
                               write_sweep_report)
+from sslcl.losses import HyperParams
 from sslcl.metrics import weighted_f1
 from sslcl.trainer import RunConfig, train
 
@@ -61,9 +62,7 @@ class TestSweep:
     def test_single_cell_equals_plain_train_and_score(self, quick_dataset):
         config = _quick_config(seeds=(0,))
         sweep = batch_size_sweep(config, quick_dataset, sizes=(4,), modes=("sslcl",))
-        from dataclasses import replace
-        direct_cfg = replace(config, batch_size=4, loss_mode="sslcl")
-        direct_cfg.hp = config.hp
+        direct_cfg = _quick_config(seeds=(0,), batch_size=4, loss_mode="sslcl")
         direct, _ = train_and_score(direct_cfg, quick_dataset, seed=0)
         assert sweep.mean("sslcl", 4) == direct
 
@@ -114,15 +113,15 @@ class TestAblation:
         assert arms["-label-label"].hp.label_loss_weight == 0.0
         assert arms["-augmentation"].augmentation is False
         assert arms["-negative"].use_negative_loss is False
+        assert arms["le=embedding-only"].le_depth == "embedding-only"
         assert arms["le=embedding-only"].label_embed_dim == RunConfig().feature_dim
+        assert arms["le=three-layer"].label_embed_dim == 2 * RunConfig().feature_dim
 
     def test_label_label_arm_is_lambda_zero_bit_for_bit(self, quick_dataset):
         # The removal arm is literally the weight-zero config: replaying both
         # training runs must produce identical logs.
         arms = ablation_arms(_quick_config(seeds=(0,)))
-        from dataclasses import replace
-        lam0 = replace(_quick_config(seeds=(0,)))
-        lam0.hp = replace(lam0.hp, label_loss_weight=0.0)
+        lam0 = _quick_config(seeds=(0,), hp=HyperParams(label_loss_weight=0.0))
         assert canonical_config_json(arms["-label-label"]) == canonical_config_json(lam0)
         splits_cfg = arms["-label-label"]
         r1 = train(splits_cfg, quick_dataset, seed=0)

@@ -50,8 +50,9 @@ class TestVariants:
 
     def test_three_layer_adds_hidden_stage(self):
         rng = np.random.default_rng(7)
-        arrays = init_label_params(3, 4, 6, "three-layer", rng, hidden_dim=5)
-        assert arrays["label.hidden_w"].shape == (5, 6)
+        arrays = init_label_params(3, 4, 6, "three-layer", rng)
+        assert arrays["label.hidden_w"].shape == (6, 6)
+        assert arrays["label.project_w"].shape == (4, 6)
         table = embed_labels(_constants(arrays), "three-layer").values
         hidden = np.maximum(arrays["label.embed"], 0.0)
         hidden = np.maximum(hidden @ arrays["label.hidden_w"].T + arrays["label.hidden_b"], 0.0)

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ import pytest
 from sslcl.cli import main
 from sslcl.data import FeatureDataset, generate_synthetic, preset_spec, save_jsonl, split_dataset
 from sslcl.losses import HyperParams
-from sslcl.trainer import (Adam, ConfigError, NonFiniteLossError, ParameterStore, RunConfig,
-                           TrainResult, config_from_flat, config_to_flat, gradcheck,
+from sslcl.trainer import (FLAT_KEYS, Adam, ConfigError, NonFiniteLossError, ParameterStore,
+                           RunConfig, TrainResult, config_from_flat, config_to_flat, gradcheck,
                            load_checkpoint, predict, save_checkpoint, train,
                            write_metrics_log)
 
@@ -64,6 +64,55 @@ class TestConfigFlat:
     def test_invalid_measure_rejected(self):
         with pytest.raises(ConfigError):
             config_from_flat({"measure": "manhattan"})
+
+    def test_flat_key_order_is_pinned(self):
+        # Artifact bytes and config hashes depend on this order.
+        assert FLAT_KEYS == (
+            "hp.alpha", "hp.beta", "hp.gamma", "hp.label_loss_weight", "hp.ce_weight",
+            "hp.supcon_temperature", "measure", "le_depth", "loss_mode", "modality_setting",
+            "batch_size", "epochs", "seeds", "encoder_lr", "label_net_lr", "augmentation",
+            "use_negative_loss", "hidden_dim", "feature_dim", "predictor", "split_seed")
+        assert tuple(config_to_flat(RunConfig())) == FLAT_KEYS
+
+    @pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2", "adam_eps",
+                                     "le_hidden_dim", "label_embed_dim"])
+    def test_dropped_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config key: '{key}'"):
+            config_from_flat({key: 8})
+
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", True), ("epochs", 2.5), ("seeds", [1.7]), ("seeds", [True]),
+        ("seeds", 3), ("hp.alpha", True), ("split_seed", "7"), ("measure", 5),
+        ("augmentation", 1)])
+    def test_wrong_value_type_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"config key '{key}' expects"):
+            config_from_flat({key: value})
+
+    def test_numbers_convert_to_the_field_type(self):
+        config = config_from_flat({"hp.alpha": 3, "encoder_lr": 1, "epochs": 3.0,
+                                   "seeds": [4, 5.0]})
+        assert type(config.hp.alpha) is float and config.hp.alpha == 3.0
+        assert type(config.encoder_lr) is float and config.encoder_lr == 1.0
+        assert type(config.epochs) is int and config.epochs == 3
+        assert config.seeds == (4, 5) and all(type(s) is int for s in config.seeds)
+
+    def test_configs_check_themselves_and_are_frozen(self):
+        with pytest.raises(ConfigError, match="batch_size"):
+            RunConfig(batch_size=0)
+        with pytest.raises(ConfigError, match="seed list"):
+            RunConfig(seeds=())
+        with pytest.raises(ValueError, match="alpha"):
+            HyperParams(alpha=0.0)
+        with pytest.raises(FrozenInstanceError):
+            RunConfig().batch_size = 2
+        with pytest.raises(FrozenInstanceError):
+            RunConfig().hp.alpha = 1.0
+
+    def test_label_table_width_is_derived(self):
+        assert RunConfig(feature_dim=5).label_embed_dim == 10
+        assert RunConfig(feature_dim=5, le_depth="three-layer").label_embed_dim == 10
+        config = config_from_flat({"le_depth": "embedding-only", "feature_dim": 5})
+        assert config.label_embed_dim == 5
 
 
 @pytest.fixture(scope="module")
@@ -242,9 +291,8 @@ class TestPredict:
         config = _tiny_config()
         result = train(config, tiny_dataset, seed=0)
         for predictor in ("head", "similarity"):
-            config.predictor = predictor
             preds = predict(result.store, tiny_dataset.header,
-                            tiny_dataset.records, config)
+                            tiny_dataset.records, replace(config, predictor=predictor))
             assert preds.shape == (len(tiny_dataset),)
             assert np.all((preds >= 0) & (preds < tiny_dataset.header.num_labels))
 
