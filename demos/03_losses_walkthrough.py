@@ -26,13 +26,13 @@ table = embed_labels(leaves, config.le_depth)
 ctx = build_context(feats, table, batch.labels, "soft-hgr")
 
 hp = HyperParams()
-node, breakdown = sslcl_loss(ctx, views, batch.label_counts, hp)
+node, breakdown = sslcl_loss(ctx, views, hp)
 probs = classify(feats, leaves)
 ce = cross_entropy(probs, batch.labels)
 breakdown.ce_loss = ce.item()
 
 print(f"batch labels:       {batch.labels.tolist()}")
-print(f"within-batch counts:{batch.label_counts.tolist()}")
+print(f"within-batch counts:{np.bincount(batch.labels)[batch.labels].tolist()}")
 print(f"imbalance weights (N/n)^gamma, gamma={hp.gamma}:")
 print("  " + " ".join(f"{w:5.2f}" for w in breakdown.sample_weights))
 print(f"\nper-sample focal positive terms (1 full view + {len(views)} augmented views each):")
@@ -47,8 +47,8 @@ print(f"combined objective (eta={hp.ce_weight}): "
 
 print("\nfocusing exponents reshape the same similarities:")
 for alpha in (0.5, 2.0, 4.0):
-    alt, _ = sslcl_loss(ctx, views, batch.label_counts, HyperParams(alpha=alpha))
+    alt, _ = sslcl_loss(ctx, views, HyperParams(alpha=alpha))
     print(f"  alpha={alpha}: L_SSLCL = {alt.item():9.4f}")
 for gamma in (0.5, 1.0, 1.5):
-    alt, _ = sslcl_loss(ctx, views, batch.label_counts, HyperParams(gamma=gamma))
+    alt, _ = sslcl_loss(ctx, views, HyperParams(gamma=gamma))
     print(f"  gamma={gamma}: L_SSLCL = {alt.item():9.4f}")

@@ -6,7 +6,7 @@ a synthetic imbalanced multimodal benchmark, and an experiment harness
 for the batch-size and component ablations.
 """
 
-from .autodiff import DegenerateBatchError, NonFiniteError, Tape, Tensor
+from .autodiff import NonFiniteError, Tape, Tensor
 from .data import (FeatureBatch, FeatureDataset, SyntheticSpec, UtteranceRecord,
                    batch_iter, generate_synthetic, load_features, preset_spec,
                    save_jsonl, split_dataset)
@@ -16,7 +16,7 @@ from .label_embedding import embed_labels
 from .losses import (FloorCount, HyperParams, LossBreakdown, cross_entropy,
                      label_label_loss, sslcl_loss, supcon_loss)
 from .metrics import weighted_f1
-from .similarity import SimilarityContext, build_context, sim_matrix, soft_hgr_batch
+from .similarity import SimilarityContext, build_context, sim_matrix
 from .trainer import (Adam, GradCheckReport, RunConfig, TrainResult, gradcheck,
                       load_checkpoint, predict, save_checkpoint, train)
 

@@ -20,10 +20,6 @@ class NonFiniteError(ArithmeticError):
     """An operation produced NaN or infinity, or was fed non-finite input."""
 
 
-class DegenerateBatchError(ValueError):
-    """A statistic that needs at least two rows was asked for fewer."""
-
-
 def _as_array(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 

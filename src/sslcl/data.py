@@ -250,7 +250,6 @@ class FeatureBatch:
     audio: np.ndarray
     visual: np.ndarray
     labels: np.ndarray
-    label_counts: np.ndarray
 
     @property
     def size(self) -> int:
@@ -270,11 +269,8 @@ def records_to_batch(header: DatasetHeader, records: Sequence[UtteranceRecord]) 
         if rec.visual is not None:
             visual[i] = rec.visual
         labels[i] = rec.label
-    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     return FeatureBatch(
-        ids=[rec.id for rec in records], text=text, audio=audio, visual=visual,
-        labels=labels, label_counts=counts[inverse],
-    )
+        ids=[rec.id for rec in records], text=text, audio=audio, visual=visual, labels=labels)
 
 
 def batch_iter(dataset: FeatureDataset, batch_size: int, seed, shuffle: bool = True) -> Iterator[FeatureBatch]:

@@ -137,8 +137,7 @@ class SweepResult:
 
 def batch_size_sweep(config: RunConfig, dataset: FeatureDataset,
                      sizes: Sequence[int] = DEFAULT_SWEEP_SIZES,
-                     modes: Sequence[str] = SWEEP_MODES,
-                     seeds: Sequence[int] | None = None, jobs: int = 1,
+                     modes: Sequence[str] = SWEEP_MODES, jobs: int = 1,
                      equalize_steps: bool = False) -> SweepResult:
     """Train every (loss mode, batch size, seed) cell on the same split.
 
@@ -148,7 +147,7 @@ def batch_size_sweep(config: RunConfig, dataset: FeatureDataset,
     confounds batch-size effects with optimization budget (there is no
     early stopping to absorb the difference).
     """
-    seeds = list(config.seeds if seeds is None else seeds)
+    seeds = list(config.seeds)
     n_train = int(round(0.7 * len(dataset)))
     base_steps = config.epochs * int(np.ceil(n_train / config.batch_size))
     arm_configs: dict[str, RunConfig] = {}
@@ -211,9 +210,8 @@ class AblationReport:
         return self.arms[name].mean - self.arms["full"].mean
 
 
-def ablation_suite(config: RunConfig, dataset: FeatureDataset,
-                   seeds: Sequence[int] | None = None, jobs: int = 1) -> AblationReport:
-    seeds = list(config.seeds if seeds is None else seeds)
+def ablation_suite(config: RunConfig, dataset: FeatureDataset, jobs: int = 1) -> AblationReport:
+    seeds = list(config.seeds)
     arms = ablation_arms(config)
     unique = {canonical_config_json(c): c for c in arms.values()}
     results = _run_tasks(unique, dataset, seeds, jobs)

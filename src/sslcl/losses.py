@@ -9,7 +9,8 @@ floor; each floored evaluation is counted and surfaced in the breakdown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,12 +38,15 @@ class HyperParams:
     supcon_temperature: float = 0.07
 
     def __post_init__(self) -> None:
+        # Every comparison with NaN is false, so NaN fails these range tests.
         for name in ("alpha", "beta", "gamma", "ce_weight", "supcon_temperature"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"hyperparameter {name} must be strictly positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"hp.{name} must be finite and strictly positive, got {value!r}")
         # label_loss_weight may be zero: that is the label-label ablation arm.
-        if self.label_loss_weight < 0:
-            raise ValueError("label_loss_weight must be non-negative")
+        value = self.label_loss_weight
+        if not 0 <= value < math.inf:
+            raise ValueError(f"hp.label_loss_weight must be finite and non-negative, got {value!r}")
 
 
 @dataclass
@@ -54,13 +58,14 @@ class FloorCount:
 
 @dataclass
 class LossBreakdown:
-    """Per-term values of one training step, all float64."""
+    """Per-term values of one training step, all float64; a term the loss
+    mode does not compute stays empty or zero."""
 
-    positive_terms: np.ndarray
-    negative_terms: np.ndarray
-    sample_weights: np.ndarray
-    label_loss: float
-    sslcl_loss: float
+    positive_terms: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    negative_terms: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    sample_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    label_loss: float = 0.0
+    sslcl_loss: float = 0.0
     ce_loss: float = 0.0
     supcon_term: float = 0.0
     train_loss: float = 0.0
@@ -189,16 +194,14 @@ def batched_sample_losses(ctx: SimilarityContext, view_mats: Sequence[Tensor],
     return pos, neg
 
 
-def sample_weights(label_counts: np.ndarray, batch_size: int, gamma: float) -> np.ndarray:
+def sample_weights(labels, gamma: float) -> np.ndarray:
     """(N / n_{y_i})^gamma, n the within-batch count of the sample's label."""
-    counts = np.asarray(label_counts, dtype=np.float64)
-    if np.any(counts < 1):
-        raise ValueError("every sample's label count must be at least 1")
-    return (batch_size / counts) ** gamma
+    labels = np.asarray(labels, dtype=np.intp)
+    counts = np.bincount(labels)[labels]
+    return (len(labels) / counts) ** gamma
 
 
-def sslcl_loss(ctx: SimilarityContext, view_mats: Sequence[Tensor],
-               label_counts: np.ndarray, hp: HyperParams, *,
+def sslcl_loss(ctx: SimilarityContext, view_mats: Sequence[Tensor], hp: HyperParams, *,
                use_negative: bool = True, counter: FloorCount | None = None) -> tuple[Tensor, LossBreakdown]:
     """Full weighted sample-label objective plus the label-label term.
 
@@ -210,7 +213,7 @@ def sslcl_loss(ctx: SimilarityContext, view_mats: Sequence[Tensor],
     counter = counter if counter is not None else FloorCount()
     pos, neg = batched_sample_losses(
         ctx, view_mats, hp, use_negative=use_negative, counter=counter)
-    weights = sample_weights(label_counts, ctx.size, hp.gamma)
+    weights = sample_weights(ctx.labels, hp.gamma)
     weighted = ad.dot(Tensor(weights), ad.add(pos, neg))
     label_term = label_label_loss(ctx.label_embeddings, counter=counter)
     node = ad.add(weighted, ad.scale(label_term, hp.label_loss_weight))

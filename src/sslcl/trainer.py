@@ -9,6 +9,7 @@ reproduce byte-identical metrics logs and checkpoints.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -76,8 +77,14 @@ class RunConfig:
             raise ConfigError(f"modality_setting must be one of {MODALITY_SETTINGS}")
         if self.predictor not in PREDICTORS:
             raise ConfigError(f"predictor must be one of {PREDICTORS}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be at least 1")
+        for name in ("batch_size", "epochs", "hidden_dim", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        # NaN fails the range test; a rate of 0 freezes its group.
+        for name in ("encoder_lr", "label_net_lr"):
+            lr = getattr(self, name)
+            if not 0 <= lr < math.inf:
+                raise ConfigError(f"{name} must be finite and non-negative, got {lr!r}")
         if not self.seeds:
             raise ConfigError("seed list must not be empty")
 
@@ -155,16 +162,18 @@ def init_params(header: DatasetHeader, config: RunConfig, rng: np.random.Generat
     return ParameterStore(arrays)
 
 
-class Adam:
-    """Bias-corrected Adam over a fixed set of parameter names."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, names: Sequence[str], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Bias-corrected Adam over a fixed set of parameter names, with the
+    fixed constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS."""
+
+    def __init__(self, names: Sequence[str], lr: float):
         self.names = list(names)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -179,20 +188,19 @@ class Adam:
             if m is None:
                 m = np.zeros_like(grad)
                 v = np.zeros_like(grad)
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
             self._m[name] = m
             self._v[name] = v
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            store.arrays[name] = store.arrays[name] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m_hat = m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** t)
+            store.arrays[name] = store.arrays[name] - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def compute_step_loss(config: RunConfig, leaves: dict[str, Tensor], batch: FeatureBatch,
-                      counter: FloorCount | None = None) -> tuple[Tensor, LossBreakdown]:
+def compute_step_loss(config: RunConfig, leaves: dict[str, Tensor],
+                      batch: FeatureBatch) -> tuple[Tensor, LossBreakdown]:
     """One step's objective node and breakdown for the configured loss mode."""
-    counter = counter if counter is not None else FloorCount()
-    n = batch.size
+    counter = FloorCount()
     feats = encode(batch, FULL_MASK, leaves)
     probs = classify(feats, leaves)
     ce = cross_entropy(probs, batch.labels, counter=counter)
@@ -203,21 +211,15 @@ def compute_step_loss(config: RunConfig, leaves: dict[str, Tensor], batch: Featu
         table = embed_labels(leaves, config.le_depth)
         ctx = build_context(feats, table, batch.labels, config.measure)
         node, breakdown = sslcl_loss(
-            ctx, views, batch.label_counts, config.hp,
-            use_negative=config.use_negative_loss, counter=counter)
+            ctx, views, config.hp, use_negative=config.use_negative_loss, counter=counter)
         total = ad.add(node, ad.scale(ce, config.hp.ce_weight))
     elif config.loss_mode == "supcon":
         contrast = supcon_loss(feats, batch.labels, config.hp.supcon_temperature)
         total = ad.add(contrast, ad.scale(ce, config.hp.ce_weight))
-        breakdown = LossBreakdown(
-            positive_terms=np.zeros(n), negative_terms=np.zeros(n),
-            sample_weights=np.ones(n), label_loss=0.0, sslcl_loss=0.0,
-            supcon_term=contrast.item())
+        breakdown = LossBreakdown(supcon_term=contrast.item())
     else:
         total = ce
-        breakdown = LossBreakdown(
-            positive_terms=np.zeros(n), negative_terms=np.zeros(n),
-            sample_weights=np.ones(n), label_loss=0.0, sslcl_loss=0.0)
+        breakdown = LossBreakdown()
     breakdown.ce_loss = ce.item()
     breakdown.train_loss = total.item()
     breakdown.floored_logs = counter.count
@@ -245,7 +247,6 @@ class TrainResult:
     store: ParameterStore
     metrics_lines: list[str]
     epoch_scores: list[dict]
-    floored_logs: int
 
 
 def train(config: RunConfig, dataset: FeatureDataset, *, seed: int,
@@ -261,7 +262,6 @@ def train(config: RunConfig, dataset: FeatureDataset, *, seed: int,
     lines: list[str] = []
     epoch_scores: list[dict] = []
     step = 0
-    floored_total = 0
     last_record: dict | None = None
     for epoch in range(config.epochs):
         for batch in batch_iter(dataset, config.batch_size, seed=[seed, epoch], shuffle=True):
@@ -279,7 +279,6 @@ def train(config: RunConfig, dataset: FeatureDataset, *, seed: int,
             record = breakdown.step_record(step, epoch)
             lines.append(json.dumps(record))
             last_record = record
-            floored_total += breakdown.floored_logs
             step += 1
         train_wf1, _ = weighted_f1(
             predict(store, dataset.header, dataset.records, config),
@@ -293,8 +292,7 @@ def train(config: RunConfig, dataset: FeatureDataset, *, seed: int,
         epoch_record = {"epoch": epoch, "train_wf1": train_wf1, "eval_wf1": eval_wf1}
         lines.append(json.dumps(epoch_record))
         epoch_scores.append(epoch_record)
-    return TrainResult(store=store, metrics_lines=lines,
-                       epoch_scores=epoch_scores, floored_logs=floored_total)
+    return TrainResult(store=store, metrics_lines=lines, epoch_scores=epoch_scores)
 
 
 def write_metrics_log(path, config: RunConfig, result: TrainResult) -> None:
@@ -372,13 +370,12 @@ def _random_instance(config: RunConfig, num_labels: int, rng: np.random.Generato
                            num_labels=num_labels,
                            label_names=tuple(f"class{k}" for k in range(num_labels)))
     labels = rng.integers(0, num_labels, size=n)
-    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     batch = FeatureBatch(
         ids=[f"g{i}" for i in range(n)],
         text=rng.standard_normal((n, header.text_dim)),
         audio=rng.standard_normal((n, header.audio_dim)),
         visual=rng.standard_normal((n, header.visual_dim)),
-        labels=labels.astype(np.intp), label_counts=counts[inverse])
+        labels=labels.astype(np.intp))
     store = init_params(header, config, rng)
     # Zero-initialized biases park masked-view preactivations exactly on the
     # ReLU kink, where central differences are ill-posed; jitter off it.

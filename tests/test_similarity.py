@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from sslcl import autodiff as ad
-from sslcl.autodiff import DegenerateBatchError, Tape, Tensor
-from sslcl.similarity import build_context, sim_matrix, soft_hgr_batch, view_sim_vector
+from sslcl.autodiff import Tape, Tensor
+from sslcl.data import batch_iter, generate_synthetic, preset_spec
+from sslcl.similarity import build_context, sim_matrix, view_sim_vector
+from sslcl.trainer import RunConfig, compute_step_loss, init_params
 
 from oracles import pair_sim_ld, soft_hgr_batch_ld, soft_hgr_pair_ld, view_sim_ld
 
@@ -18,10 +20,19 @@ def _random_instance(rng, n=None, k=None, d=None):
     return feats, table, labels
 
 
+def _own_label_sum(ctx):
+    """Sum of sim_matrix's entries at the batch's own labels: the batch
+    Soft-HGR similarity, by the decomposition."""
+    mat = sim_matrix(ctx).values
+    return float(np.sum(mat[np.arange(ctx.size), ctx.labels]))
+
+
 class TestSoftHgrBatch:
+    """The own-label sum of sim_matrix against the batch Soft-HGR."""
+
     def test_zero_features_give_zero(self):
         ctx = build_context(Tensor(np.zeros((3, 2))), Tensor(np.ones((2, 2))), [0, 1, 0])
-        assert soft_hgr_batch(ctx).item() == 0.0
+        assert _own_label_sum(ctx) == 0.0
 
     def test_hand_case_n2_d1(self):
         # Centered features [1, -1] paired with centered embeddings [1, -1]:
@@ -29,7 +40,7 @@ class TestSoftHgrBatch:
         feats = np.array([[1.5], [-0.5]])
         table = np.array([[1.0], [-1.0]])
         ctx = build_context(Tensor(feats), Tensor(table), [0, 1])
-        assert abs(soft_hgr_batch(ctx).item() - 0.0) < 1e-12
+        assert abs(_own_label_sum(ctx) - 0.0) < 1e-12
 
     def test_matches_extended_precision(self):
         rng = np.random.default_rng(21)
@@ -37,12 +48,7 @@ class TestSoftHgrBatch:
             feats, table, labels = _random_instance(rng)
             ctx = build_context(Tensor(feats), Tensor(table), labels)
             expected = float(soft_hgr_batch_ld(feats, table, labels))
-            assert abs(soft_hgr_batch(ctx).item() - expected) < 1e-10
-
-    def test_degenerate_batch_rejected(self):
-        ctx = build_context(Tensor(np.ones((1, 2))), Tensor(np.ones((2, 2))), [0])
-        with pytest.raises(DegenerateBatchError):
-            soft_hgr_batch(ctx)
+            assert abs(_own_label_sum(ctx) - expected) < 1e-10
 
     def test_role_symmetry(self):
         # Swapping the two centered sides leaves the batch similarity unchanged.
@@ -51,9 +57,9 @@ class TestSoftHgrBatch:
         feats = rng.standard_normal((n, d))
         table = rng.standard_normal((n, d))
         identity = np.arange(n)
-        forward = soft_hgr_batch(build_context(Tensor(feats), Tensor(table), identity))
-        swapped = soft_hgr_batch(build_context(Tensor(table), Tensor(feats), identity))
-        assert abs(forward.item() - swapped.item()) < 1e-10
+        forward = _own_label_sum(build_context(Tensor(feats), Tensor(table), identity))
+        swapped = _own_label_sum(build_context(Tensor(table), Tensor(feats), identity))
+        assert abs(forward - swapped) < 1e-10
 
 
 class TestDecomposition:
@@ -64,9 +70,8 @@ class TestDecomposition:
         for _ in range(100):
             feats, table, labels = _random_instance(rng)
             ctx = build_context(Tensor(feats), Tensor(table), labels)
-            mat = sim_matrix(ctx).values
-            total = sum(mat[i, labels[i]] for i in range(len(labels)))
-            assert abs(total - soft_hgr_batch(ctx).item()) < 1e-10
+            expected = float(soft_hgr_batch_ld(feats, table, labels))
+            assert abs(_own_label_sum(ctx) - expected) < 1e-10
 
     def test_pair_hand_case(self):
         feats = np.array([[1.5], [-0.5]])
@@ -146,12 +151,6 @@ class TestSimMatrix:
         ctx = build_context(Tensor(feats), Tensor(table), [0])
         np.testing.assert_allclose(sim_matrix(ctx).values, [[11.0, 1.0]], atol=1e-14)
 
-    def test_cached_node_is_reused(self):
-        rng = np.random.default_rng(29)
-        feats, table, labels = _random_instance(rng)
-        ctx = build_context(Tensor(feats), Tensor(table), labels)
-        assert sim_matrix(ctx) is sim_matrix(ctx)
-
 
 class TestViewSimilarities:
     def test_view_vector_matches_oracle(self):
@@ -178,3 +177,42 @@ class TestViewSimilarities:
         assert np.any(grads["feats"] != 0)
         assert np.any(grads["table"] != 0)
         assert np.any(grads["views"] != 0)
+
+
+def _recorded_ops(tape):
+    return [record[0] for record in tape._records]
+
+
+class TestRecordedOps:
+    """A context records only the ops its similarities read."""
+
+    @pytest.mark.parametrize("measure", ["dot", "cosine"])
+    def test_raw_measure_step_records_no_centering(self, measure):
+        dataset = generate_synthetic(preset_spec("meld-like", 40, seed=3))
+        batch = next(batch_iter(dataset, 8, seed=0))
+        config = RunConfig(measure=measure)
+        store = init_params(dataset.header, config, np.random.default_rng(0))
+        tape = Tape()
+        compute_step_loss(config, store.leaves(tape), batch)
+        assert "center_rows" not in _recorded_ops(tape)
+
+    def test_one_row_soft_hgr_records_no_centering(self):
+        rng = np.random.default_rng(32)
+        tape = Tape()
+        feats = tape.leaf("feats", rng.standard_normal((1, 3)))
+        table = tape.leaf("table", rng.standard_normal((4, 3)))
+        ctx = build_context(feats, table, [2])
+        sim_matrix(ctx)
+        view_sim_vector(ctx, tape.leaf("view", rng.standard_normal((1, 3))))
+        assert "center_rows" not in _recorded_ops(tape)
+
+    def test_soft_hgr_centers_each_side_once(self):
+        rng = np.random.default_rng(33)
+        tape = Tape()
+        feats = tape.leaf("feats", rng.standard_normal((5, 3)))
+        table = tape.leaf("table", rng.standard_normal((4, 3)))
+        ctx = build_context(feats, table, [0, 1, 2, 3, 0])
+        sim_matrix(ctx)
+        for name in ("v1", "v2"):
+            view_sim_vector(ctx, tape.leaf(name, rng.standard_normal((5, 3))))
+        assert _recorded_ops(tape).count("center_rows") == 2

@@ -15,9 +15,10 @@ from sslcl.trainer import (FLAT_KEYS, Adam, ConfigError, NonFiniteLossError, Par
 
 class TestAdam:
     def test_matches_reference_recurrence_three_steps(self):
+        # The reference uses the fixed constants the optimizer documents.
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         store = ParameterStore({"w": np.array([1.0])})
-        opt = Adam(["w"], lr, b1, b2, eps)
+        opt = Adam(["w"], lr)
         theta, m, v = 1.0, 0.0, 0.0
         for t in range(1, 4):
             grad = 0.3 * theta + 0.1  # deterministic pseudo-gradient of the reference
@@ -107,6 +108,18 @@ class TestConfigFlat:
             RunConfig().batch_size = 2
         with pytest.raises(FrozenInstanceError):
             RunConfig().hp.alpha = 1.0
+
+    @pytest.mark.parametrize("key,value", [
+        ("hp.alpha", float("nan")), ("hp.gamma", float("inf")), ("hp.beta", -0.5),
+        ("hp.label_loss_weight", float("nan")), ("encoder_lr", float("inf")),
+        ("label_net_lr", float("nan")), ("label_net_lr", -1.0), ("feature_dim", 0),
+        ("hidden_dim", -1)])
+    def test_bad_numbers_are_rejected_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            config_from_flat({key: value})
+
+    def test_zero_learning_rate_is_allowed(self):
+        assert RunConfig(label_net_lr=0.0, encoder_lr=0.0).label_net_lr == 0.0
 
     def test_label_table_width_is_derived(self):
         assert RunConfig(feature_dim=5).label_embed_dim == 10
@@ -240,7 +253,7 @@ class TestAtomicWrites:
         write_metrics_log(path, config, result)
         before = path.read_bytes()
         # The header line is written before the bad record fails.
-        broken = TrainResult(result.store, result.metrics_lines[:3] + [None], [], 0)
+        broken = TrainResult(result.store, result.metrics_lines[:3] + [None], [])
         with pytest.raises(TypeError):
             write_metrics_log(path, config, broken)
         assert path.read_bytes() == before
