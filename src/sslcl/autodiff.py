@@ -4,14 +4,17 @@ A small Wengert-list engine: operations execute eagerly on numpy arrays
 and append their vector-Jacobian products to the tape that owns the
 participating leaves. Walking the records in exact reverse order of
 forward execution yields gradients for every registered parameter.
-Only the shapes the losses in this package need are supported (scalars,
-vectors, matrices); there is no general broadcasting.
+A two-operand op notes when it is recorded which operands need a
+gradient; its VJP computes nothing for a constant operand and returns
+None in its place. Only the shapes the losses in this package need are
+supported (scalars, vectors, matrices); there is no general broadcasting.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,24 +89,32 @@ class Tape:
         return self._backward(loss, check=True)
 
     def _backward(self, loss: Tensor, *, check: bool) -> dict[str, np.ndarray]:
-        adjoint: dict[int, np.ndarray] = {id(loss): np.asarray(1.0)}
+        # Keyed by the node itself: Tensor hashes and compares by identity.
+        adjoint: dict[Tensor, np.ndarray] = {loss: np.asarray(1.0)}
+        get = adjoint.get
         for op_name, out, inputs, vjp in reversed(self._records):
-            out_grad = adjoint.get(id(out))
+            out_grad = get(out)
             if out_grad is None:
                 continue
             for node, grad in zip(inputs, vjp(out_grad)):
                 if grad is None or not node.requires_grad:
                     continue
-                seen = adjoint.get(id(node))
-                adjoint[id(node)] = grad if seen is None else seen + grad
+                seen = get(node)
+                if seen is not None:
+                    grad = seen + grad
+                adjoint[node] = grad
                 # The accumulated adjoint, not only this VJP's output: two
                 # finite outputs can overflow when added. `seen` was finite.
-                if check and not _all_finite(adjoint[id(node)]):
+                if check and not _all_finite(grad):
                     raise NonFiniteError(f"backward of {op_name} produced non-finite values")
-        return {
-            name: np.array(adjoint.get(id(node), np.zeros_like(node.values)))
-            for name, node in self._params.items()
-        }
+        grads = {}
+        for name, node in self._params.items():
+            grad = get(node)
+            grads[name] = np.zeros_like(node.values) if grad is None else np.array(grad)
+        return grads
+
+
+_sum = np.add.reduce  # values.sum() without its Python wrapper
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -114,59 +125,68 @@ def _all_finite(values: np.ndarray) -> bool:
     the elementwise test. numpy warns when the sum overflows or meets both
     infinities; the result is still exact.
     """
-    return math.isfinite(values.sum()) or bool(np.isfinite(values).all())
+    return math.isfinite(_sum(values, None)) or bool(np.isfinite(values).all())
 
 
 def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if type(x) is Tensor else Tensor(x)
 
 
-def _join_tape(inputs: Iterable[Tensor]) -> Tape | None:
-    tape = None
-    for t in inputs:
-        if t.tape is None:
-            continue
-        if tape is None:
-            tape = t.tape
-        elif tape is not t.tape:
-            raise ValueError("operands belong to different tapes")
-    return tape
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _make(op_name: str, out_values: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
-    out_values = _as_array(out_values)
+    if type(out_values) is not np.ndarray or out_values.dtype is not _FLOAT64:
+        out_values = _as_array(out_values)
     if not _all_finite(out_values):
         raise NonFiniteError(f"{op_name} produced non-finite values")
-    tape = _join_tape(inputs)
-    requires = any(t.requires_grad for t in inputs)
-    out = Tensor(out_values, tape=tape, requires_grad=requires)
-    if tape is not None and requires:
+    tape = None
+    requires = False
+    for t in inputs:
+        if t.requires_grad:
+            requires = True
+        if t.tape is not None:
+            if tape is None:
+                tape = t.tape
+            elif t.tape is not tape:
+                raise ValueError("operands belong to different tapes")
+    out = Tensor.__new__(Tensor)
+    out.values = out_values
+    out.tape = tape
+    out.requires_grad = requires
+    if requires and tape is not None:
         tape._records.append((op_name, out, inputs, vjp))
     return out
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op_name: str) -> None:
-    if a.shape != b.shape:
+    if a.values.shape != b.values.shape:
         raise ValueError(f"{op_name}: shape mismatch {a.shape} vs {b.shape}")
 
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _check_same_shape(a, b, "add")
-    return _make("add", a.values + b.values, (a, b), lambda g: (g, g))
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return _make("add", a.values + b.values, (a, b),
+                 lambda g: (g if need_a else None, g if need_b else None))
 
 
 def sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _check_same_shape(a, b, "sub")
-    return _make("sub", a.values - b.values, (a, b), lambda g: (g, -g))
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return _make("sub", a.values - b.values, (a, b),
+                 lambda g: (g if need_a else None, -g if need_b else None))
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _check_same_shape(a, b, "mul")
     av, bv = a.values, b.values
-    return _make("mul", av * bv, (a, b), lambda g: (g * bv, g * av))
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return _make("mul", av * bv, (a, b),
+                 lambda g: (g * bv if need_a else None, g * av if need_b else None))
 
 
 def div(a, b) -> Tensor:
@@ -175,7 +195,10 @@ def div(a, b) -> Tensor:
     av, bv = a.values, b.values
     with np.errstate(divide="ignore", invalid="ignore"):
         out = av / bv
-    return _make("div", out, (a, b), lambda g: (g / bv, -g * av / (bv * bv)))
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return _make("div", out, (a, b),
+                 lambda g: (g / bv if need_a else None,
+                            -g * av / (bv * bv) if need_b else None))
 
 
 def scale(a, factor: float) -> Tensor:
@@ -198,8 +221,9 @@ def add_rowvec(mat, vec) -> Tensor:
     mat, vec = _lift(mat), _lift(vec)
     if mat.values.ndim != 2 or vec.values.ndim != 1 or mat.shape[1] != vec.shape[0]:
         raise ValueError(f"add_rowvec: incompatible shapes {mat.shape}, {vec.shape}")
+    need_mat, need_vec = mat.requires_grad, vec.requires_grad
     return _make("add_rowvec", mat.values + vec.values, (mat, vec),
-                 lambda g: (g, g.sum(axis=0)))
+                 lambda g: (g if need_mat else None, g.sum(axis=0) if need_vec else None))
 
 
 def mul_colvec(mat, vec) -> Tensor:
@@ -208,8 +232,10 @@ def mul_colvec(mat, vec) -> Tensor:
     if mat.values.ndim != 2 or vec.values.ndim != 1 or mat.shape[0] != vec.shape[0]:
         raise ValueError(f"mul_colvec: incompatible shapes {mat.shape}, {vec.shape}")
     mv, wv = mat.values, vec.values
+    need_mat, need_vec = mat.requires_grad, vec.requires_grad
     return _make("mul_colvec", mv * wv[:, None], (mat, vec),
-                 lambda g: (g * wv[:, None], (g * mv).sum(axis=1)))
+                 lambda g: (g * wv[:, None] if need_mat else None,
+                            (g * mv).sum(axis=1) if need_vec else None))
 
 
 def matmul(a, b) -> Tensor:
@@ -217,7 +243,9 @@ def matmul(a, b) -> Tensor:
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape}, {b.shape}")
     av, bv = a.values, b.values
-    return _make("matmul", av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return _make("matmul", av @ bv, (a, b),
+                 lambda g: (g @ bv.T if need_a else None, av.T @ g if need_b else None))
 
 
 def transpose(a) -> Tensor:
@@ -232,7 +260,9 @@ def outer(u, v) -> Tensor:
     if u.values.ndim != 1 or v.values.ndim != 1:
         raise ValueError("outer expects two vectors")
     uv, vv = u.values, v.values
-    return _make("outer", np.outer(uv, vv), (u, v), lambda g: (g @ vv, uv @ g))
+    need_u, need_v = u.requires_grad, v.requires_grad
+    return _make("outer", np.outer(uv, vv), (u, v),
+                 lambda g: (g @ vv if need_u else None, uv @ g if need_v else None))
 
 
 def dot(u, v) -> Tensor:
@@ -240,7 +270,9 @@ def dot(u, v) -> Tensor:
     if u.values.ndim != 1 or v.values.ndim != 1 or u.shape != v.shape:
         raise ValueError(f"dot: incompatible shapes {u.shape}, {v.shape}")
     uv, vv = u.values, v.values
-    return _make("dot", uv @ vv, (u, v), lambda g: (g * vv, g * uv))
+    need_u, need_v = u.requires_grad, v.requires_grad
+    return _make("dot", uv @ vv, (u, v),
+                 lambda g: (g * vv if need_u else None, g * uv if need_v else None))
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -248,7 +280,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     if not parts or any(p.values.ndim != 2 for p in parts):
         raise ValueError("concat_cols expects a non-empty list of matrices")
     widths = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
+    offsets = list(accumulate(widths, initial=0))
 
     def vjp(g):
         return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
@@ -289,7 +321,7 @@ def exp(a) -> Tensor:
 def log(a) -> Tensor:
     a = _lift(a)
     av = a.values
-    if np.any(av <= 0.0):
+    if (av <= 0.0).any():
         raise NonFiniteError("log of a non-positive value")
     return _make("log", np.log(av), (a,), lambda g: (g / av,))
 
@@ -301,11 +333,9 @@ def pow_const(a, exponent: float) -> Tensor:
     with np.errstate(divide="ignore", over="ignore"):
         out = av ** c
 
-    def vjp(g):
-        with np.errstate(divide="ignore", over="ignore"):
-            return (g * c * av ** (c - 1.0),)
-
-    return _make("pow_const", out, (a,), vjp)
+    # Tape.gradients runs the VJPs with floating-point warnings off; only
+    # the replay that names a failing op may warn here.
+    return _make("pow_const", out, (a,), lambda g: (g * c * av ** (c - 1.0),))
 
 
 def clamp_min(a, floor: float) -> Tensor:
@@ -328,8 +358,11 @@ def rowsum(mat) -> Tensor:
     if mat.values.ndim != 2:
         raise ValueError("rowsum expects a matrix")
     mv = mat.values
+    width = mv.shape[1]
+    # repeat, not np.broadcast_to: the same values in one call, without the
+    # Python-level set-up that dominates broadcast_to at these sizes.
     return _make("rowsum", mv.sum(axis=1), (mat,),
-                 lambda g: (np.broadcast_to(g[:, None], mv.shape),))
+                 lambda g: (g[:, None].repeat(width, axis=1),))
 
 
 def colmean(mat) -> Tensor:
@@ -339,21 +372,15 @@ def colmean(mat) -> Tensor:
     mv = mat.values
     n = mv.shape[0]
     return _make("colmean", mv.mean(axis=0), (mat,),
-                 lambda g: (np.broadcast_to(g[None, :] / n, mv.shape),))
+                 lambda g: ((g[None, :] / n).repeat(n, axis=0),))
 
 
 def center_rows(mat) -> Tensor:
-    """Subtract the column mean from every row.
-
-    A single-row matrix is returned unchanged: the one-sample mean would
-    zero it out and the downstream covariance is undefined there anyway.
-    """
+    """Subtract the column mean from every row."""
     mat = _lift(mat)
     if mat.values.ndim != 2:
         raise ValueError("center_rows expects a matrix")
     mv = mat.values
-    if mv.shape[0] == 1:
-        return _make("center_rows", mv.copy(), (mat,), lambda g: (g,))
     centered = mv - mv.mean(axis=0, keepdims=True)
     return _make("center_rows", centered, (mat,),
                  lambda g: (g - g.mean(axis=0, keepdims=True),))
@@ -364,7 +391,7 @@ def softmax_rows(mat) -> Tensor:
     mat = _lift(mat)
     if mat.values.ndim != 2:
         raise ValueError("softmax_rows expects a matrix")
-    if not np.all(np.isfinite(mat.values)):
+    if not _all_finite(mat.values):
         raise NonFiniteError("softmax_rows input is not finite")
     shifted = mat.values - mat.values.max(axis=1, keepdims=True)
     e = np.exp(shifted)

@@ -169,32 +169,38 @@ ADAM_EPS = 1e-8
 
 class Adam:
     """Bias-corrected Adam over a fixed set of parameter names, with the
-    fixed constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS."""
+    fixed constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
+
+    The update is elementwise, so the whole group runs as one flat vector
+    (parameters in `names` order) and is sliced back per name."""
 
     def __init__(self, names: Sequence[str], lr: float):
         self.names = list(names)
         self.lr = lr
         self.step_count = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
 
     def step(self, store: ParameterStore, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
         t = self.step_count
+        if not self.names:
+            return
+        grad = np.concatenate([grads[name].ravel() for name in self.names])
+        if self._m is None:
+            self._m = np.zeros_like(grad)
+            self._v = np.zeros_like(grad)
+        self._m = ADAM_BETA1 * self._m + (1.0 - ADAM_BETA1) * grad
+        self._v = ADAM_BETA2 * self._v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = self._m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = self._v / (1.0 - ADAM_BETA2 ** t)
+        params = np.concatenate([store.arrays[name].ravel() for name in self.names])
+        updated = params - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        start = 0
         for name in self.names:
-            grad = grads[name]
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(grad)
-                v = np.zeros_like(grad)
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-            self._m[name] = m
-            self._v[name] = v
-            m_hat = m / (1.0 - ADAM_BETA1 ** t)
-            v_hat = v / (1.0 - ADAM_BETA2 ** t)
-            store.arrays[name] = store.arrays[name] - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            old = store.arrays[name]
+            store.arrays[name] = updated[start:start + old.size].reshape(old.shape)
+            start += old.size
 
 
 def compute_step_loss(config: RunConfig, leaves: dict[str, Tensor],

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sslcl import autodiff as ad
 from sslcl.autodiff import NonFiniteError, Tape, Tensor
@@ -23,13 +25,16 @@ def _fd_gradients(build, arrays, h=1e-6):
     return grads
 
 
-def _check_grads(build, arrays, tol=5e-6):
+def _check_grads(build, arrays, tol=5e-6, constants=()):
+    """Tape gradients against central differences; names in `constants`
+    enter the tape as constants instead of leaves."""
     tape = Tape()
-    leaves = {k: tape.leaf(k, v) for k, v in arrays.items()}
-    loss = build(leaves)
+    nodes = {k: Tensor(v) if k in constants else tape.leaf(k, v) for k, v in arrays.items()}
+    loss = build(nodes)
     analytic = tape.gradients(loss)
+    assert set(analytic) == set(arrays) - set(constants)
     numeric = _fd_gradients(build, arrays)
-    for name in arrays:
+    for name in analytic:
         np.testing.assert_allclose(analytic[name], numeric[name], rtol=tol, atol=tol)
 
 
@@ -37,10 +42,6 @@ class TestCenterRows:
     def test_symmetric_two_rows(self):
         out = ad.center_rows(Tensor([[1.0, 3.0], [3.0, 1.0]]))
         np.testing.assert_array_equal(out.values, [[-1.0, 1.0], [1.0, -1.0]])
-
-    def test_single_row_is_identity(self):
-        row = [[2.5, -7.0]]
-        np.testing.assert_array_equal(ad.center_rows(Tensor(row)).values, row)
 
     def test_column_means_vanish(self):
         rng = np.random.default_rng(3)
@@ -278,3 +279,106 @@ class TestFinitenessContract:
         x = tape.leaf("x", np.array([1.0]))
         grads = tape.gradients(ad.sum_all(ad.div(x, Tensor([1e-200]))))
         np.testing.assert_array_equal(grads["x"], [1e200])
+
+
+# op, operand shapes; dot's output is a scalar.
+BINARY_OPS = {
+    "add": (ad.add, (3, 2), (3, 2)),
+    "sub": (ad.sub, (3, 2), (3, 2)),
+    "mul": (ad.mul, (3, 2), (3, 2)),
+    "div": (ad.div, (3, 2), (3, 2)),
+    "matmul": (ad.matmul, (3, 4), (4, 2)),
+    "dot": (ad.dot, (5,), (5,)),
+    "outer": (ad.outer, (3,), (4,)),
+    "add_rowvec": (ad.add_rowvec, (3, 4), (4,)),
+    "mul_colvec": (ad.mul_colvec, (3, 4), (3,)),
+}
+
+
+class TestConstantOperands:
+    """A two-operand op computes no gradient for an operand that needs none."""
+
+    @staticmethod
+    def _operands(name):
+        op, shape_a, shape_b = BINARY_OPS[name]
+        rng = np.random.default_rng(sorted(BINARY_OPS).index(name))
+        # Away from zero, so div's denominator stays well inside float range.
+        a = rng.uniform(0.5, 2.0, shape_a) * rng.choice([-1.0, 1.0], shape_a)
+        b = rng.uniform(0.5, 2.0, shape_b) * rng.choice([-1.0, 1.0], shape_b)
+        return op, a, b
+
+    @staticmethod
+    def _loss(out):
+        proj = np.random.default_rng(99).standard_normal(out.shape)
+        return ad.sum_all(ad.mul(out, Tensor(proj)))
+
+    @pytest.mark.parametrize("param_side", [0, 1], ids=["first", "second"])
+    @pytest.mark.parametrize("name", sorted(BINARY_OPS))
+    def test_parameter_gradient_is_unchanged_by_a_constant_partner(self, name, param_side):
+        op, a, b = self._operands(name)
+        both = Tape()
+        leaves = (both.leaf("a", a), both.leaf("b", b))
+        with_leaf = both.gradients(self._loss(op(*leaves)))
+        one = Tape()
+        operands = [Tensor(a), Tensor(b)]
+        operands[param_side] = one.leaf("ab"[param_side], (a, b)[param_side])
+        with_constant = one.gradients(self._loss(op(*operands)))
+        key = "ab"[param_side]
+        assert list(with_constant) == [key]
+        assert np.array_equal(with_constant[key], with_leaf[key])
+
+    @pytest.mark.parametrize("param_side", [0, 1], ids=["first", "second"])
+    @pytest.mark.parametrize("name", sorted(BINARY_OPS))
+    def test_vjp_returns_none_for_the_constant(self, name, param_side):
+        op, a, b = self._operands(name)
+        tape = Tape()
+        operands = [Tensor(a), Tensor(b)]
+        operands[param_side] = tape.leaf("p", (a, b)[param_side])
+        out = op(*operands)
+        op_name, recorded_out, inputs, vjp = tape._records[-1]
+        assert op_name == name and recorded_out is out
+        grads = vjp(np.ones(out.shape))
+        assert grads[1 - param_side] is None
+        assert grads[param_side] is not None
+
+
+_dims = st.integers(min_value=1, max_value=5)
+_seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestRowColumnProperties:
+    """add_rowvec, mul_colvec and gather_rows against central differences,
+    over random shapes and values, with either operand a constant."""
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(n=_dims, d=_dims, seed=_seeds,
+           constants=st.sampled_from([(), ("mat",), ("vec",)]))
+    def test_add_rowvec(self, n, d, seed, constants):
+        rng = np.random.default_rng(seed)
+        proj = rng.standard_normal((n, d))
+        _check_grads(lambda p: ad.sum_all(ad.mul(ad.add_rowvec(p["mat"], p["vec"]), Tensor(proj))),
+                     {"mat": rng.standard_normal((n, d)), "vec": rng.standard_normal(d)},
+                     constants=constants)
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(n=_dims, d=_dims, seed=_seeds,
+           constants=st.sampled_from([(), ("mat",), ("vec",)]))
+    def test_mul_colvec(self, n, d, seed, constants):
+        rng = np.random.default_rng(seed)
+        proj = rng.standard_normal((n, d))
+        _check_grads(lambda p: ad.sum_all(ad.mul(ad.mul_colvec(p["mat"], p["vec"]), Tensor(proj))),
+                     {"mat": rng.standard_normal((n, d)), "vec": rng.standard_normal(n)},
+                     constants=constants)
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(k=_dims, d=_dims, seed=_seeds, picks=st.lists(st.integers(0, 99), min_size=1, max_size=8),
+           constants=st.sampled_from([(), ("table",), ("other",)]))
+    def test_gather_rows(self, k, d, seed, picks, constants):
+        # Repeated indices scatter-add into the same source row; the gathered
+        # rows meet a second operand so that either side can be the constant.
+        rng = np.random.default_rng(seed)
+        idx = np.array(picks) % k
+        _check_grads(lambda p: ad.sum_all(ad.mul(ad.gather_rows(p["table"], idx), p["other"])),
+                     {"table": rng.standard_normal((k, d)),
+                      "other": rng.standard_normal((len(idx), d))},
+                     constants=constants)

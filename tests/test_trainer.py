@@ -30,6 +30,39 @@ class TestAdam:
             theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
             assert abs(store.arrays["w"][0] - theta) < 1e-12
 
+    def test_flat_group_update_matches_per_parameter_recurrence(self):
+        # Two groups, each holding a matrix and a vector, at different rates;
+        # the reference runs the recurrence on every parameter on its own.
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(41)
+        groups = {0.1: ["w", "b"], 1e-3: ["label.w", "label.b"]}
+        start = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4),
+                 "label.w": rng.standard_normal((2, 5)), "label.b": rng.standard_normal(2)}
+        store = ParameterStore({name: arr.copy() for name, arr in start.items()})
+        opts = [Adam(names, lr) for lr, names in groups.items()]
+        ref = {name: (arr.copy(), np.zeros_like(arr), np.zeros_like(arr))
+               for name, arr in start.items()}
+        lr_of = {name: lr for lr, names in groups.items() for name in names}
+
+        def pseudo_grad(arr):
+            return np.sin(3.0 * arr) + 0.1
+
+        for t in range(1, 4):
+            grads = {name: pseudo_grad(arr) for name, arr in store.arrays.items()}
+            for opt in opts:
+                opt.step(store, grads)
+            for name, (theta, m, v) in ref.items():
+                grad = pseudo_grad(theta)
+                m = b1 * m + (1.0 - b1) * grad
+                v = b2 * v + (1.0 - b2) * grad * grad
+                m_hat = m / (1.0 - b1 ** t)
+                v_hat = v / (1.0 - b2 ** t)
+                theta = theta - lr_of[name] * m_hat / (np.sqrt(v_hat) + eps)
+                ref[name] = (theta, m, v)
+        for name, (theta, _, _) in ref.items():
+            assert store.arrays[name].shape == start[name].shape
+            assert np.array_equal(store.arrays[name], theta), name
+
     def test_zero_gradient_leaves_parameter_unchanged(self):
         store = ParameterStore({"w": np.array([2.5, -1.0])})
         opt = Adam(["w"], 0.01)
