@@ -51,14 +51,16 @@ class Tensor:
 class Tape:
     """Ordered op record plus the parameter registry.
 
-    Gradients come from replaying the records in exact reverse order of
+    Gradients come from walking the records in exact reverse order of
     forward execution; a registered parameter that never reaches the loss
-    gets an exactly-zero gradient.
+    gets an exactly-zero gradient. The walk consumes the records, so a
+    tape yields gradients once.
     """
 
     def __init__(self):
         self._records: list[tuple[str, Tensor, tuple[Tensor, ...], Callable]] = []
         self._params: dict[str, Tensor] = {}
+        self._consumed = False
 
     def leaf(self, name: str, values) -> Tensor:
         """Register a learnable parameter and return its graph node."""
@@ -71,42 +73,62 @@ class Tape:
     def gradients(self, loss: Tensor) -> dict[str, np.ndarray]:
         """Return d(loss)/d(param) for every registered parameter.
 
-        The loss must be a scalar node from this tape's forward pass.
-        Every VJP maps a non-finite adjoint to a non-finite output and every
-        differentiable node drains into a parameter, so checking the returned
-        gradients catches any non-finite VJP output or accumulated adjoint;
-        only then are the records walked again with a check after each VJP,
-        to name the op.
+        The loss must be a scalar node from this tape's forward pass. Each
+        record is dropped before its VJP runs and each adjoint once its VJP
+        has read it, so the forward arrays are freed during the walk and the
+        tape is single-use. The walk runs with floating-point errors raised:
+        a flagged VJP is re-run quietly and names its op only if an output
+        for a grad-requiring input is non-finite (div's VJP can overflow in
+        an intermediate and still return a finite gradient), and a flagged
+        adjoint sum names its op too. The returned gradients are checked
+        last, for a non-finite value that no flag reported.
         """
         if loss.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
         if loss.tape is not None and loss.tape is not self:
             raise ValueError("loss was computed on a different tape")
-        with np.errstate(all="ignore"):
-            grads = self._backward(loss, check=False)
-        if all(_all_finite(g) for g in grads.values()):
-            return grads
-        return self._backward(loss, check=True)
+        if self._consumed:
+            raise ValueError("tape was consumed by an earlier gradients call")
+        self._consumed = True
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            grads = self._backward(loss)
+        for name, grad in grads.items():
+            if not _all_finite(grad):
+                raise NonFiniteError(f"backward produced non-finite values for {name}")
+        return grads
 
-    def _backward(self, loss: Tensor, *, check: bool) -> dict[str, np.ndarray]:
+    def _backward(self, loss: Tensor) -> dict[str, np.ndarray]:
         # Keyed by the node itself: Tensor hashes and compares by identity.
         adjoint: dict[Tensor, np.ndarray] = {loss: np.asarray(1.0)}
-        get = adjoint.get
-        for op_name, out, inputs, vjp in reversed(self._records):
-            out_grad = get(out)
+        get, pop = adjoint.get, adjoint.pop
+        records = self._records
+        while records:
+            op_name, out, inputs, vjp = records.pop()
+            out_grad = pop(out, None)
             if out_grad is None:
                 continue
-            for node, grad in zip(inputs, vjp(out_grad)):
+            try:
+                in_grads = vjp(out_grad)
+            except FloatingPointError:
+                # A raised flag alone is no failure: re-run quietly and fail
+                # only on a non-finite gradient that a parameter needs.
+                with np.errstate(all="ignore"):
+                    in_grads = vjp(out_grad)
+                    if any(grad is not None and node.requires_grad and not _all_finite(grad)
+                           for node, grad in zip(inputs, in_grads)):
+                        raise NonFiniteError(
+                            f"backward of {op_name} produced non-finite values") from None
+            for node, grad in zip(inputs, in_grads):
                 if grad is None or not node.requires_grad:
                     continue
                 seen = get(node)
                 if seen is not None:
-                    grad = seen + grad
+                    try:
+                        grad = seen + grad
+                    except FloatingPointError:
+                        raise NonFiniteError(
+                            f"backward of {op_name} produced non-finite values") from None
                 adjoint[node] = grad
-                # The accumulated adjoint, not only this VJP's output: two
-                # finite outputs can overflow when added. `seen` was finite.
-                if check and not _all_finite(grad):
-                    raise NonFiniteError(f"backward of {op_name} produced non-finite values")
         grads = {}
         for name, node in self._params.items():
             grad = get(node)
@@ -332,9 +354,6 @@ def pow_const(a, exponent: float) -> Tensor:
     av = a.values
     with np.errstate(divide="ignore", over="ignore"):
         out = av ** c
-
-    # Tape.gradients runs the VJPs with floating-point warnings off; only
-    # the replay that names a failing op may warn here.
     return _make("pow_const", out, (a,), lambda g: (g * c * av ** (c - 1.0),))
 
 

@@ -1,3 +1,7 @@
+import gc
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +122,30 @@ class TestGradients:
         with pytest.raises(ValueError):
             tape.gradients(ad.scale(vec, 2.0))
 
+    def test_second_call_on_a_walked_tape_raises(self):
+        tape = Tape()
+        vec = tape.leaf("v", np.array([1.0, -2.0]))
+        loss = ad.sum_all(ad.scale(vec, 3.0))
+        np.testing.assert_array_equal(tape.gradients(loss)["v"], [3.0, 3.0])
+        with pytest.raises(ValueError, match="consumed"):
+            tape.gradients(loss)
+
+    def test_walk_frees_the_forward_arrays_without_the_collector(self):
+        gc.disable()
+        try:
+            tape = Tape()
+            x = tape.leaf("x", np.array([0.5, -1.0, 2.0]))
+            mid = ad.exp(ad.scale(x, 2.0))
+            mid_values = weakref.ref(mid.values)
+            loss = ad.sum_all(mid)
+            del mid
+            grads = tape.gradients(loss)
+            assert mid_values() is None
+            assert tape._records == []
+        finally:
+            gc.enable()
+        np.testing.assert_allclose(grads["x"], 2.0 * np.exp(2.0 * x.values), rtol=1e-15)
+
     def test_linearity(self):
         rng = np.random.default_rng(9)
         arr = rng.standard_normal((3, 3))
@@ -237,8 +265,9 @@ class TestFiniteness:
 
 
 class TestFinitenessContract:
-    """Every forward value is checked when it is made; gradients are checked
-    once per `gradients` call and a failure names the op whose VJP made it."""
+    """Every forward value is checked when it is made; a backward step that
+    raises a floating-point error names its op, and the returned gradients
+    are checked once per `gradients` call."""
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_finite_values_whose_sum_overflows_pass(self):
@@ -273,6 +302,29 @@ class TestFinitenessContract:
         with pytest.raises(NonFiniteError,
                            match=r"^backward of scale produced non-finite values$"):
             tape.gradients(loss)
+
+    def test_flagged_vjp_with_finite_outputs_passes(self):
+        # d/dy = -x / (y * y): y * y overflows to inf, but the gradient is a
+        # finite -0.0, so the walk's overflow flag must not abort it.
+        tape = Tape()
+        x = tape.leaf("x", np.array([1.0]))
+        y = tape.leaf("y", np.array([1e200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grads = tape.gradients(ad.sum_all(ad.div(x, y)))
+        np.testing.assert_array_equal(grads["x"], [1e-200])
+        np.testing.assert_array_equal(grads["y"], [-0.0])
+
+    def test_unflagged_non_finite_gradient_names_the_parameter(self):
+        # A VJP that returns a stored infinity raises no floating-point flag;
+        # only the check on the returned gradients sees it.
+        stored = np.array([np.inf])
+        tape = Tape()
+        x = tape.leaf("x", np.array([1.0]))
+        out = ad._make("leaky", x.values.copy(), (x,), lambda g: (stored,))
+        with pytest.raises(NonFiniteError,
+                           match=r"^backward produced non-finite values for x$"):
+            tape.gradients(ad.sum_all(out))
 
     def test_non_finite_vjp_output_for_a_constant_is_ignored(self):
         tape = Tape()

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sslcl.autodiff import Tape, Tensor
 from sslcl.data import batch_iter, generate_synthetic, preset_spec
 from sslcl.losses import (FloorCount, HyperParams, batched_sample_losses,
                           cross_entropy, label_label_loss, sample_weights, sslcl_loss,
                           supcon_loss)
-from sslcl.similarity import build_context, sim_matrix
+from sslcl.similarity import MEASURES, build_context, sim_matrix
 from sslcl.trainer import RunConfig, compute_step_loss, init_params
 
 from oracles import (cross_entropy_ld, label_label_ld, negative_loss_ld,
@@ -105,6 +107,32 @@ class TestNegativeLoss:
             for i in range(len(labels)):
                 expected = float(negative_loss_ld(feats, table, labels, i, hp.beta, "soft-hgr"))
                 assert abs(got[i] - expected) < 1e-10
+
+
+class TestLabelPermutation:
+    """Renaming the label ids (the table rows moved to match) and reordering
+    the samples reorders the per-sample losses the same way and changes
+    nothing else, up to the rounding of the reordered sums: relative
+    tolerance 1e-9."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(2, 8), k=st.integers(2, 5), d=st.integers(1, 5),
+           n_views=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           measure=st.sampled_from(MEASURES))
+    def test_batched_sample_losses_are_equivariant(self, n, k, d, n_views, seed, measure):
+        rng = np.random.default_rng(seed)
+        feats, table, labels, views = _instance(rng, n=n, k=k, d=d, n_views=n_views)
+        hp = HyperParams()
+        pos, neg = batched_sample_losses(_ctx(feats, table, labels, measure),
+                                         [Tensor(v) for v in views], hp)
+        rename = rng.permutation(k)        # old label j is now rename[j]
+        order = rng.permutation(n)         # new sample i is old sample order[i]
+        renamed_table = np.empty_like(table)
+        renamed_table[rename] = table
+        ctx = _ctx(feats[order], renamed_table, rename[labels[order]], measure)
+        pos_p, neg_p = batched_sample_losses(ctx, [Tensor(v[order]) for v in views], hp)
+        np.testing.assert_allclose(pos_p.values, pos.values[order], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(neg_p.values, neg.values[order], rtol=1e-9, atol=0)
 
 
 class TestLabelLabelLoss:

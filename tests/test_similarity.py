@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sslcl import autodiff as ad
 from sslcl.autodiff import Tape, Tensor
@@ -150,6 +152,29 @@ class TestSimMatrix:
         table = np.array([[3.0, 4.0], [1.0, 0.0]])
         ctx = build_context(Tensor(feats), Tensor(table), [0])
         np.testing.assert_allclose(sim_matrix(ctx).values, [[11.0, 1.0]], atol=1e-14)
+
+
+class TestSoftHgrTranslation:
+    """Soft-HGR centers both sides, so one row vector added to every feature
+    row, or to every label-table row, leaves `sim_matrix` unchanged up to
+    the rounding of the centering: relative tolerance 1e-9 of the largest
+    entry."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(2, 8), k=st.integers(2, 5), d=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), side=st.sampled_from(["features", "table"]),
+           size=st.sampled_from([1e-3, 1.0, 10.0]))
+    def test_sim_matrix_ignores_a_common_row_shift(self, n, k, d, seed, side, size):
+        rng = np.random.default_rng(seed)
+        feats, table, labels = _random_instance(rng, n=n, k=k, d=d)
+        base = sim_matrix(build_context(Tensor(feats), Tensor(table), labels)).values
+        shift = size * rng.standard_normal(d)
+        if side == "features":
+            feats = feats + shift
+        else:
+            table = table + shift
+        moved = sim_matrix(build_context(Tensor(feats), Tensor(table), labels)).values
+        np.testing.assert_allclose(moved, base, rtol=0, atol=1e-9 * np.abs(base).max())
 
 
 class TestViewSimilarities:
