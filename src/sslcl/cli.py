@@ -24,7 +24,7 @@ from .evaluation import (DEFAULT_SWEEP_SIZES, SWEEP_MODES, ablation_suite, batch
 from .metrics import weighted_f1
 from .trainer import (ConfigError, NonFiniteLossError, RunConfig, config_from_flat,
                       config_to_flat, gradcheck, init_params, load_checkpoint, predict,
-                      save_checkpoint, train, write_metrics_log)
+                      save_checkpoint, train_seeds, write_metrics_log)
 
 SEED_ENV_VAR = "SSLCL_SEED"
 JOBS_HELP = ("worker processes (at least 1); results are byte-identical to --jobs 1, "
@@ -89,8 +89,8 @@ def _cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = split_dataset(dataset, config.split_seed)
     test_scores = []
-    for seed in config.seeds:
-        result = train(config, splits.train, seed=seed, eval_dataset=splits.val)
+    results = train_seeds(config, splits.train, config.seeds, eval_dataset=splits.val)
+    for seed, result in zip(config.seeds, results):
         write_metrics_log(out_dir / f"metrics_seed{seed}.jsonl", config, result)
         save_checkpoint(out_dir / f"checkpoint_seed{seed}.json", result.store, config)
         preds = predict(result.store, dataset.header, splits.test.records, config)

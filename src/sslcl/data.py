@@ -243,9 +243,10 @@ def load_features(path) -> FeatureDataset:
 @dataclass
 class FeatureBatch:
     """Materialized batch: absent modalities are zero-imputed, which is
-    exactly the fusion-input imputation the encoder applies anyway."""
+    exactly the fusion-input imputation the encoder applies anyway. A
+    stacked batch holds one batch per seed along a leading axis."""
 
-    ids: list[str]
+    ids: list
     text: np.ndarray
     audio: np.ndarray
     visual: np.ndarray
@@ -253,7 +254,7 @@ class FeatureBatch:
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return self.labels.shape[-1]
 
 
 def records_to_batch(header: DatasetHeader, records: Sequence[UtteranceRecord]) -> FeatureBatch:
@@ -271,6 +272,15 @@ def records_to_batch(header: DatasetHeader, records: Sequence[UtteranceRecord]) 
         labels[i] = rec.label
     return FeatureBatch(
         ids=[rec.id for rec in records], text=text, audio=audio, visual=visual, labels=labels)
+
+
+def stack_batches(batches: Sequence[FeatureBatch]) -> FeatureBatch:
+    """One stacked batch from same-size batches, one per seed."""
+    return FeatureBatch(ids=[b.ids for b in batches],
+                        text=np.stack([b.text for b in batches]),
+                        audio=np.stack([b.audio for b in batches]),
+                        visual=np.stack([b.visual for b in batches]),
+                        labels=np.stack([b.labels for b in batches]))
 
 
 def batch_iter(dataset: FeatureDataset, batch_size: int, seed, shuffle: bool = True) -> Iterator[FeatureBatch]:

@@ -1,8 +1,10 @@
 """Experiment harness: multi-seed scoring, the batch-size stability sweep,
 the similarity/component/depth ablations, and deterministic report files.
 
-Every run is keyed by (canonical config, seed); arms that canonicalize to
-the same config share a single run, which is also how the harness proves
+Training is organized by canonical config: each unique config is one
+task that trains all of its seeds as one stacked run, and each seed's
+score is keyed by (canonical config, seed). Arms that canonicalize to the
+same config share a single task, which is also how the harness proves
 that "remove the label-label loss" and "set its weight to zero" are the
 same experiment.
 """
@@ -20,7 +22,7 @@ import numpy as np
 from ._files import write_text
 from .data import FeatureDataset, split_dataset
 from .metrics import weighted_f1
-from .trainer import RunConfig, config_to_flat, predict, train
+from .trainer import RunConfig, TrainResult, config_to_flat, predict, train, train_seeds
 
 DEFAULT_SWEEP_SIZES = (1, 2, 4, 8, 16, 32)
 SWEEP_MODES = ("sslcl", "supcon", "ce-only")
@@ -34,68 +36,89 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(canonical_config_json(config).encode()).hexdigest()[:12]
 
 
+def _test_score(result: TrainResult, config: RunConfig, dataset: FeatureDataset,
+                test: FeatureDataset) -> tuple[float, list[float]]:
+    preds = predict(result.store, dataset.header, test.records, config)
+    return weighted_f1(preds, [r.label for r in test.records], dataset.header.num_labels)
+
+
 def train_and_score(config: RunConfig, dataset: FeatureDataset, seed: int) -> tuple[float, list[float]]:
     """Train on the fixed 70/15/15 split and score weighted F1 on test."""
     splits = split_dataset(dataset, config.split_seed)
     result = train(config, splits.train, seed=seed, eval_dataset=splits.val)
-    preds = predict(result.store, dataset.header, splits.test.records, config)
-    golds = [r.label for r in splits.test.records]
-    return weighted_f1(preds, golds, dataset.header.num_labels)
+    return _test_score(result, config, dataset, splits.test)
 
 
-# The (configs, dataset) pair that `_run_one` reads: set once per pool
+def train_and_score_seeds(config: RunConfig, dataset: FeatureDataset,
+                          seeds: Sequence[int]) -> list[tuple[float, list[float]]]:
+    """train_and_score for every seed, with the seeds trained as one stacked
+    run; entry i equals train_and_score(config, dataset, seeds[i])."""
+    splits = split_dataset(dataset, config.split_seed)
+    results = train_seeds(config, splits.train, seeds, eval_dataset=splits.val)
+    return [_test_score(result, config, dataset, splits.test) for result in results]
+
+
+# The (configs, dataset, seeds) that `_run_config` reads: set once per pool
 # worker by the pool's initializer, or for the duration of a serial run.
-_task_inputs: tuple[dict[str, RunConfig], FeatureDataset] | None = None
+_task_inputs: tuple[dict[str, RunConfig], FeatureDataset, list[int]] | None = None
 
 
-def _set_task_inputs(inputs: tuple[dict[str, RunConfig], FeatureDataset] | None) -> None:
+def _set_task_inputs(inputs: tuple[dict[str, RunConfig], FeatureDataset, list[int]] | None) -> None:
     global _task_inputs
     _task_inputs = inputs
 
 
-def _run_one(task: tuple[str, int]) -> tuple[float, list[float]]:
-    configs, dataset = _task_inputs
-    key, seed = task
-    return train_and_score(configs[key], dataset, seed)
+def _run_config(key: str) -> list[tuple[float, list[float]]]:
+    configs, dataset, seeds = _task_inputs
+    return train_and_score_seeds(configs[key], dataset, seeds)
 
 
 def _run_tasks(configs: dict[str, RunConfig], dataset: FeatureDataset,
                seeds: Sequence[int], jobs: int) -> dict[tuple[str, int], tuple[float, list[float]]]:
-    """Execute each unique (config, seed) once; results keyed for re-assembly.
+    """Train each unique config once, all seeds stacked in one task; the
+    per-seed results are keyed by (config key, seed) for re-assembly.
 
-    With jobs > 1 the tasks run in min(jobs, tasks) worker processes. Each
-    worker receives the configs and the dataset once, at start-up, and holds
-    its own copy of the dataset; a task is sent as its (key, seed) only.
-    Every task is a pure function of (config, dataset, seed), so the results
-    are byte-identical to jobs=1, which runs the tasks in this process. When
-    a task raises, the pending tasks are cancelled and the workers joined
-    before the error propagates; a worker that dies raises BrokenProcessPool.
+    A task's cost grows slowly with the seed count: at small batch a step
+    is bound by per-op overhead, which stacking shares among the seeds.
+    With jobs > 1 the tasks run in min(jobs, configs) worker processes. Each
+    worker receives the configs, the dataset and the seeds once, at start-up,
+    and holds its own copy of the dataset; a task is sent as its config key
+    only. Every seed's result is a pure function of (config, dataset, seed),
+    so the results are byte-identical to jobs=1, which runs the tasks in
+    this process. When a task raises, the pending tasks are cancelled and the
+    workers joined before the error propagates; a worker that dies raises
+    BrokenProcessPool.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = [(key, seed) for key in sorted(configs) for seed in seeds]
-    workers = min(jobs, len(tasks))
+    keys = sorted(configs)
+    seeds = list(dict.fromkeys(seeds))
+    inputs = (configs, dataset, seeds)
+    workers = min(jobs, len(keys))
     if workers <= 1:
-        _set_task_inputs((configs, dataset))
+        _set_task_inputs(inputs)
         try:
-            return {task: _run_one(task) for task in tasks}
+            scores = [_run_config(key) for key in keys]
         finally:
             _set_task_inputs(None)
-    # Imported here: multiprocessing would add ~1.5 MB of RSS and 20 modules
-    # to every process that imports sslcl only to train.
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
+    else:
+        # Imported here: multiprocessing would add ~1.5 MB of RSS and 20
+        # modules to every process that imports sslcl only to train.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-    # fork: workers start as copies of this process, without re-importing
-    # numpy and sslcl. Neither the CLI nor the library runs a Python thread
-    # here (OpenBLAS shuts its own threads down at fork), and the pool forks
-    # its workers before it starts its manager thread.
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
-                               initializer=_set_task_inputs, initargs=((configs, dataset),))
-    try:
-        return dict(zip(tasks, pool.map(_run_one, tasks)))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        # fork: workers start as copies of this process, without re-importing
+        # numpy and sslcl. Neither the CLI nor the library runs a Python
+        # thread here (OpenBLAS shuts its own threads down at fork), and the
+        # pool forks its workers before it starts its manager thread.
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
+                                   initializer=_set_task_inputs, initargs=(inputs,))
+        try:
+            scores = list(pool.map(_run_config, keys))
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    return {(key, seed): score for key, per_seed in zip(keys, scores)
+            for seed, score in zip(seeds, per_seed)}
 
 
 @dataclass

@@ -7,6 +7,9 @@ covariances, both sides centered beforehand. Entry (i, j) of
 the bilinear covariance c(x, y) = (1/(N-1)) x.y on centered rows, the
 unique choice under which the entries at the batch's own labels,
 sum_i sim_matrix[i, z_i], add back to the batch similarity.
+
+Every function also takes stacked inputs, one slice per training seed:
+(S, N, d) features, an (S, K, d) table and (S, N) labels.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ _NORM_FLOOR = 1e-24
 @dataclass
 class SimilarityContext:
     """One step's sample features (N x d), label embedding table (K x d),
-    batch label assignment and measure. The centered and label-selected
-    views are built on first use, so a step records only what it reads."""
+    batch label assignment (N,) and measure, each with an optional leading
+    stack axis. The centered and label-selected views are built on first
+    use, so a step records only what it reads."""
 
     features: Tensor
     label_embeddings: Tensor
@@ -39,19 +43,19 @@ class SimilarityContext:
         if self.measure not in MEASURES:
             raise ValueError(f"unknown similarity measure: {self.measure!r}")
         self.labels = np.asarray(self.labels, dtype=np.intp)
-        n, k = self.size, self.num_labels
-        if self.labels.shape != (n,):
+        k = self.num_labels
+        if self.labels.shape != self.features.shape[:-1]:
             raise ValueError("labels must have one entry per sample")
         if np.any((self.labels < 0) | (self.labels >= k)):
             raise ValueError("labels out of range")
 
     @property
     def size(self) -> int:
-        return self.features.shape[0]
+        return self.features.shape[-2]
 
     @property
     def num_labels(self) -> int:
-        return self.label_embeddings.shape[0]
+        return self.label_embeddings.shape[-2]
 
     @cached_property
     def centered_features(self) -> Tensor:
@@ -63,7 +67,7 @@ class SimilarityContext:
 
     @cached_property
     def assigned_centered(self) -> Tensor:
-        """Centered embedding rows selected by the batch labels (N x d)."""
+        """Centered embedding rows selected by the batch labels (..., N, d)."""
         return ad.gather_rows(self.centered_labels, self.labels)
 
     @cached_property
@@ -76,12 +80,12 @@ def build_context(features: Tensor, label_embeddings: Tensor, labels, measure: s
 
 
 def _row_norms(x: Tensor) -> Tensor:
-    """Euclidean norm of every row, floored away from zero (N,)."""
+    """Euclidean norm of every row, floored away from zero (..., N)."""
     return ad.pow_const(ad.clamp_min(ad.rowsum(ad.mul(x, x)), _NORM_FLOOR), 0.5)
 
 
 def sim_matrix(ctx: SimilarityContext) -> Tensor:
-    """All sample-against-label similarities as one (N x K) node.
+    """All sample-against-label similarities as one (..., N, K) node.
 
     The Soft-HGR entry (i, j) is c(f_i, g_j) - (1/2) sum_l c(f_i, f_l)
     c(g_j, g_{z_l}) on centered rows, so every label is scored against the
@@ -107,7 +111,7 @@ def sim_matrix(ctx: SimilarityContext) -> Tensor:
 
 
 def view_sim_vector(ctx: SimilarityContext, view_features: Tensor) -> Tensor:
-    """Per-sample similarity of augmented view rows to their own label (N,).
+    """Per-sample similarity of augmented view rows to their own label (..., N).
 
     Soft-HGR centers the view rows with the full-view batch mean and keeps
     the full-view rows inside the covariance sum, so the augmented rows

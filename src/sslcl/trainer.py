@@ -4,6 +4,11 @@ One Adam instance owns the encoder and head, a second one owns the label
 network at its own (much smaller) learning rate; they never share state.
 Every run is a pure function of (config, dataset, seed): identical inputs
 reproduce byte-identical metrics logs and checkpoints.
+
+`train_seeds` trains several seeds of one config as a single stacked run:
+parameters carry a leading seed axis, and one tape step and one Adam
+update advance every seed. Each seed's logs and checkpoint are
+byte-identical to a `train` run of that seed alone.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ import numpy as np
 from . import autodiff as ad
 from ._files import atomic_open
 from .autodiff import Tape, Tensor
-from .data import DatasetHeader, FeatureBatch, FeatureDataset, batch_iter, records_to_batch
+from .data import (DatasetHeader, FeatureBatch, FeatureDataset, batch_iter, records_to_batch,
+                   stack_batches)
 from .encoder import FULL_MASK, MODALITY_SETTINGS, augmentation_views, classify, encode, init_encoder_params
 from .label_embedding import DEPTHS, embed_labels, init_label_params
-from .losses import (FloorCount, HyperParams, LossBreakdown, cross_entropy,
-                     sslcl_loss, supcon_loss)
+from .losses import (FloorCount, HyperParams, LossBreakdown, cross_entropy, sslcl_loss,
+                     supcon_loss, value_per_seed)
 from .metrics import weighted_f1
 from .similarity import MEASURES, build_context, sim_matrix
 
@@ -134,14 +140,28 @@ def config_from_flat(values: dict) -> RunConfig:
     return RunConfig(hp=HyperParams(**hp), **run)
 
 
+def param_group(name: str) -> str:
+    """The group a parameter belongs to: encoder, head or label."""
+    return {"enc": "encoder", "head": "head", "label": "label"}[name.split(".", 1)[0]]
+
+
 class ParameterStore:
-    """Named float64 parameter arrays, updated in place by the optimizers."""
+    """Named float64 parameter arrays, updated in place by the optimizers.
+    A stacked store holds one slice per seed along a leading axis."""
 
     def __init__(self, arrays: dict[str, np.ndarray]):
         self.arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()}
 
+    @classmethod
+    def stack(cls, stores: Sequence["ParameterStore"]) -> "ParameterStore":
+        return cls({name: np.stack([st.arrays[name] for st in stores]) for name in stores[0].arrays})
+
+    def seed(self, index: int) -> "ParameterStore":
+        """A copy of one seed's parameters from a stacked store."""
+        return ParameterStore({name: arr[index].copy() for name, arr in self.arrays.items()})
+
     def leaves(self, tape: Tape) -> dict[str, Tensor]:
-        return {name: tape.leaf(name, arr) for name, arr in self.arrays.items()}
+        return {name: tape.leaf(name, arr, param_group(name)) for name, arr in self.arrays.items()}
 
     def constants(self) -> dict[str, Tensor]:
         return {name: Tensor(arr) for name, arr in self.arrays.items()}
@@ -205,8 +225,10 @@ class Adam:
 
 def compute_step_loss(config: RunConfig, leaves: dict[str, Tensor],
                       batch: FeatureBatch) -> tuple[Tensor, LossBreakdown]:
-    """One step's objective node and breakdown for the configured loss mode."""
-    counter = FloorCount()
+    """One step's objective node and breakdown for the configured loss mode.
+    Stacked leaves and batch give one objective value per seed."""
+    stack = batch.labels.shape[:-1]
+    counter = FloorCount(np.zeros(stack, dtype=np.intp) if stack else 0)
     feats = encode(batch, FULL_MASK, leaves)
     probs = classify(feats, leaves)
     ce = cross_entropy(probs, batch.labels, counter=counter)
@@ -222,12 +244,12 @@ def compute_step_loss(config: RunConfig, leaves: dict[str, Tensor],
     elif config.loss_mode == "supcon":
         contrast = supcon_loss(feats, batch.labels, config.hp.supcon_temperature)
         total = ad.add(contrast, ad.scale(ce, config.hp.ce_weight))
-        breakdown = LossBreakdown(supcon_term=contrast.item())
+        breakdown = LossBreakdown(supcon_term=value_per_seed(contrast))
     else:
         total = ce
         breakdown = LossBreakdown()
-    breakdown.ce_loss = ce.item()
-    breakdown.train_loss = total.item()
+    breakdown.ce_loss = value_per_seed(ce)
+    breakdown.train_loss = value_per_seed(total)
     breakdown.floored_logs = counter.count
     return total, breakdown
 
@@ -258,47 +280,91 @@ class TrainResult:
 def train(config: RunConfig, dataset: FeatureDataset, *, seed: int,
           eval_dataset: FeatureDataset | None = None) -> TrainResult:
     """Optimize against the configured objective; fully deterministic per seed."""
+    return _train(config, dataset, [seed], eval_dataset, stacked=False)[0]
+
+
+def train_seeds(config: RunConfig, dataset: FeatureDataset, seeds: Sequence[int], *,
+                eval_dataset: FeatureDataset | None = None) -> list[TrainResult]:
+    """Train every seed in one stacked run; result i is byte-identical to
+    train(config, dataset, seed=seeds[i]). Every seed keeps its own batch
+    order, and all share the batch sizes, so the seeds advance in lockstep."""
+    return _train(config, dataset, list(seeds), eval_dataset, stacked=True)
+
+
+def _score(store: ParameterStore, dataset: FeatureDataset | None, config: RunConfig) -> float | None:
+    if dataset is None or not len(dataset):
+        return None
+    wf1, _ = weighted_f1(predict(store, dataset.header, dataset.records, config),
+                         [r.label for r in dataset.records], dataset.header.num_labels)
+    return wf1
+
+
+def _train(config: RunConfig, dataset: FeatureDataset, seeds: list[int],
+           eval_dataset: FeatureDataset | None, *, stacked: bool) -> list[TrainResult]:
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    rng = np.random.default_rng(seed)
-    store = init_params(dataset.header, config, rng)
+    stores = [init_params(dataset.header, config, np.random.default_rng(seed)) for seed in seeds]
+    store = ParameterStore.stack(stores) if stacked else stores[0]
     opt_encoder = Adam(store.encoder_names, config.encoder_lr)
     opt_label = Adam(store.label_names, config.label_net_lr)
 
-    lines: list[str] = []
-    epoch_scores: list[dict] = []
+    def seed_store(index: int) -> ParameterStore:
+        return store.seed(index) if stacked else store
+
+    lines: list[list[str]] = [[] for _ in seeds]
+    epoch_scores: list[list[dict]] = [[] for _ in seeds]
     step = 0
-    last_record: dict | None = None
+    last_records: list[dict | None] = [None for _ in seeds]
     for epoch in range(config.epochs):
-        for batch in batch_iter(dataset, config.batch_size, seed=[seed, epoch], shuffle=True):
+        epoch_batches = [batch_iter(dataset, config.batch_size, seed=[seed, epoch], shuffle=True)
+                         for seed in seeds]
+        for batches in zip(*epoch_batches):
             tape = Tape()
             leaves = store.leaves(tape)
             try:
-                total, breakdown = compute_step_loss(config, leaves, batch)
-                grads = tape.gradients(total)
+                total, breakdown = compute_step_loss(
+                    config, leaves, stack_batches(batches) if stacked else batches[0])
+                grads = tape.gradients(total, stacked)
             except ad.NonFiniteError as err:
-                context = f"; last step terms: {json.dumps(last_record)}" if last_record else ""
+                index, err = (_failing_seed(config, store, batches, err) if stacked
+                              else (0, err))
+                record = None if index is None else last_records[index]
+                context = f"; last step terms: {json.dumps(record)}" if record else ""
+                who = f"seeds {seeds}" if index is None else f"seed {seeds[index]}"
                 raise NonFiniteLossError(
-                    f"aborted at step {step} (epoch {epoch}): {err}{context}") from err
+                    f"{who}: aborted at step {step} (epoch {epoch}): {err}{context}") from err
             opt_encoder.step(store, grads)
             opt_label.step(store, grads)
-            record = breakdown.step_record(step, epoch)
-            lines.append(json.dumps(record))
-            last_record = record
+            for index in range(len(seeds)):
+                record = (breakdown.seed(index) if stacked else breakdown).step_record(step, epoch)
+                lines[index].append(json.dumps(record))
+                last_records[index] = record
             step += 1
-        train_wf1, _ = weighted_f1(
-            predict(store, dataset.header, dataset.records, config),
-            [r.label for r in dataset.records], dataset.header.num_labels)
-        if eval_dataset is not None and len(eval_dataset):
-            eval_wf1, _ = weighted_f1(
-                predict(store, eval_dataset.header, eval_dataset.records, config),
-                [r.label for r in eval_dataset.records], eval_dataset.header.num_labels)
-        else:
-            eval_wf1 = None
-        epoch_record = {"epoch": epoch, "train_wf1": train_wf1, "eval_wf1": eval_wf1}
-        lines.append(json.dumps(epoch_record))
-        epoch_scores.append(epoch_record)
-    return TrainResult(store=store, metrics_lines=lines, epoch_scores=epoch_scores)
+        for index in range(len(seeds)):
+            epoch_record = {"epoch": epoch,
+                            "train_wf1": _score(seed_store(index), dataset, config),
+                            "eval_wf1": _score(seed_store(index), eval_dataset, config)}
+            lines[index].append(json.dumps(epoch_record))
+            epoch_scores[index].append(epoch_record)
+    return [TrainResult(store=seed_store(index), metrics_lines=lines[index],
+                        epoch_scores=epoch_scores[index])
+            for index in range(len(seeds))]
+
+
+def _failing_seed(config: RunConfig, store: ParameterStore, batches: Sequence[FeatureBatch],
+                  err: ad.NonFiniteError) -> tuple[int | None, ad.NonFiniteError]:
+    """Re-run a failed stacked step one seed at a time, in seed order, and
+    return the first seed that fails with the error it raises alone: the
+    error a serial run of that seed raises at this step. (None, err) if no
+    seed fails alone."""
+    for index, batch in enumerate(batches):
+        tape = Tape()
+        try:
+            total, _ = compute_step_loss(config, store.seed(index).leaves(tape), batch)
+            tape.gradients(total)
+        except ad.NonFiniteError as seed_err:
+            return index, seed_err
+    return None, err
 
 
 def write_metrics_log(path, config: RunConfig, result: TrainResult) -> None:
@@ -412,8 +478,7 @@ def gradcheck(config: RunConfig | None = None, *, instances_per_mode: int = 6,
             total, _ = compute_step_loss(check_config, store.leaves(tape), batch)
             grads = tape.gradients(total)
             for name, grad in grads.items():
-                group = "label" if name.startswith("label.") else (
-                    "head" if name.startswith("head.") else "encoder")
+                group = param_group(name)
                 flat = store.arrays[name].ravel()
                 numeric = np.zeros_like(flat)
                 for j in range(flat.size):

@@ -434,3 +434,89 @@ class TestRowColumnProperties:
                      {"table": rng.standard_normal((k, d)),
                       "other": rng.standard_normal((len(idx), d))},
                      constants=constants)
+
+
+# op -> (build(params, consts), parameter base shapes, constant base arrays);
+# every array gets a leading stack axis, and consts named "shared_*" do not.
+STACKED_OPS = {
+    "add": (lambda p, c: ad.add(p["a"], p["b"]), {"a": (3, 2), "b": (3, 2)}, {}),
+    "sub": (lambda p, c: ad.sub(p["a"], p["b"]), {"a": (3, 2), "b": (3, 2)}, {}),
+    "mul": (lambda p, c: ad.mul(p["a"], p["b"]), {"a": (3, 2), "b": (3, 2)}, {}),
+    "div": (lambda p, c: ad.div(p["a"], p["b"]), {"a": (3, 2), "b": (3, 2)}, {}),
+    "mul_shared": (lambda p, c: ad.mul(Tensor(c["shared_m"]), p["a"]), {"a": (3, 2)},
+                   {"shared_m": (3, 2)}),
+    "scale": (lambda p, c: ad.scale(p["a"], 0.7), {"a": (3, 2)}, {}),
+    "add_const": (lambda p, c: ad.add_const(p["a"], c["k"]), {"a": (3, 2)}, {"k": (3, 2)}),
+    "add_rowvec": (lambda p, c: ad.add_rowvec(p["a"], p["v"]), {"a": (3, 4), "v": (4,)}, {}),
+    "mul_colvec": (lambda p, c: ad.mul_colvec(p["a"], p["v"]), {"a": (3, 4), "v": (3,)}, {}),
+    "matmul": (lambda p, c: ad.matmul(p["a"], p["b"]), {"a": (3, 4), "b": (4, 2)}, {}),
+    "matmul_gram": (lambda p, c: ad.matmul(p["a"], ad.transpose(p["a"])), {"a": (3, 4)}, {}),
+    "matmul_shared": (lambda p, c: ad.matmul(p["a"], Tensor(c["shared_m"])), {"a": (3, 4)},
+                      {"shared_m": (4, 4)}),
+    "transpose": (lambda p, c: ad.transpose(p["a"]), {"a": (3, 4)}, {}),
+    "outer": (lambda p, c: ad.outer(p["u"], p["v"]), {"u": (3,), "v": (4,)}, {}),
+    "dot": (lambda p, c: ad.dot(p["u"], p["v"]), {"u": (5,), "v": (5,)}, {}),
+    "concat_cols": (lambda p, c: ad.concat_cols([p["a"], p["b"]]), {"a": (3, 2), "b": (3, 4)}, {}),
+    "gather_rows": (lambda p, c: ad.gather_rows(p["t"], c["idx"]), {"t": (4, 3)}, {"idx": None}),
+    "relu": (lambda p, c: ad.relu(p["a"]), {"a": (3, 2)}, {}),
+    "exp": (lambda p, c: ad.exp(p["a"]), {"a": (3, 2)}, {}),
+    "log": (lambda p, c: ad.log(ad.mul(p["a"], p["a"])), {"a": (3, 2)}, {}),
+    "pow_const": (lambda p, c: ad.pow_const(ad.mul(p["a"], p["a"]), -0.5), {"a": (3, 2)}, {}),
+    "clamp_min": (lambda p, c: ad.clamp_min(p["a"], 0.1), {"a": (3, 2)}, {}),
+    "sum_all": (lambda p, c: ad.sum_all(p["a"], stacked=c["stacked"]), {"a": (3, 2)}, {}),
+    "rowsum": (lambda p, c: ad.rowsum(p["a"]), {"a": (3, 4)}, {}),
+    "colmean": (lambda p, c: ad.colmean(p["a"]), {"a": (3, 4)}, {}),
+    "center_rows": (lambda p, c: ad.center_rows(p["a"]), {"a": (3, 4)}, {}),
+    "softmax_rows": (lambda p, c: ad.softmax_rows(p["a"]), {"a": (3, 4)}, {}),
+}
+
+
+class TestStackedOps:
+    """Each slice of a stacked op, and of its gradients, equals the op on that
+    slice alone, bit for bit."""
+
+    @pytest.mark.parametrize("stack", [1, 3])
+    @pytest.mark.parametrize("name", sorted(STACKED_OPS))
+    def test_slices_equal_unstacked_calls(self, name, stack):
+        build, shapes, const_shapes = STACKED_OPS[name]
+        rng = np.random.default_rng(sorted(STACKED_OPS).index(name))
+        params = {k: rng.uniform(0.5, 2.0, (stack,) + shape) * rng.choice([-1.0, 1.0], shape)
+                  for k, shape in shapes.items()}
+        consts = {k: rng.standard_normal(shape if k.startswith("shared_") else (stack,) + shape)
+                  for k, shape in const_shapes.items() if shape is not None}
+        if "idx" in const_shapes:
+            consts["idx"] = rng.integers(0, shapes["t"][0], size=(stack, 6))
+
+        tape = Tape()
+        out = build({k: tape.leaf(k, v) for k, v in params.items()}, {**consts, "stacked": True})
+        proj = rng.standard_normal(out.shape)
+        loss = ad.sum_all(ad.mul(out, Tensor(proj)), stacked=True)
+        assert loss.shape == (stack,)
+        grads = tape.gradients(loss, stacked=True)
+        for s in range(stack):
+            one = Tape()
+            sliced = {k: v if k.startswith("shared_") else v[s] for k, v in consts.items()}
+            out_s = build({k: one.leaf(k, v[s]) for k, v in params.items()},
+                          {**sliced, "stacked": False})
+            assert np.array_equal(out_s.values, out.values[s])
+            grads_s = one.gradients(ad.sum_all(ad.mul(out_s, Tensor(proj[s]))))
+            for key in params:
+                assert np.array_equal(grads_s[key], grads[key][s]), key
+
+    def test_stacked_loss_needs_the_flag(self):
+        tape = Tape()
+        vec = tape.leaf("v", np.ones((2, 3)))
+        with pytest.raises(ValueError, match="must be scalar"):
+            tape.gradients(ad.sum_all(vec, stacked=True))
+        with pytest.raises(ValueError, match="one value per slice"):
+            Tape().gradients(Tensor(1.0), stacked=True)
+
+    def test_only_a_constant_may_omit_the_stack_axis(self):
+        tape = Tape()
+        stacked = tape.leaf("s", np.ones((2, 3, 3)))
+        shared = tape.leaf("m", np.ones((3, 3)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ad.mul(shared, stacked)
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            ad.matmul(stacked, shared)
+        assert ad.matmul(stacked, Tensor(np.ones((3, 3)))).shape == (2, 3, 3)

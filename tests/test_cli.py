@@ -6,8 +6,9 @@ import pytest
 
 from sslcl import evaluation
 from sslcl.cli import main
-from sslcl.data import load_features
-from sslcl.trainer import NonFiniteLossError
+from sslcl.data import load_features, split_dataset
+from sslcl.trainer import (NonFiniteLossError, config_from_flat, save_checkpoint, train,
+                           write_metrics_log)
 
 
 @pytest.fixture()
@@ -96,6 +97,32 @@ class TestTrain:
         assert code == 0
         assert (out / "checkpoint_seed5.json").exists()
         assert not (out / "checkpoint_seed0.json").exists()
+
+    def test_stacked_seeds_write_the_files_of_serial_runs(self, data_file, tmp_path, capsys):
+        # One stacked run of three seeds against three serial library runs
+        # of the same config (which echoes the seed list), then against the
+        # printed score lines of three single-seed commands.
+        quick = QUICK[:4] + QUICK[6:] + ["--set", "batch_size=8"]
+        out = tmp_path / "stacked"
+        assert main(["train", "--data", str(data_file), "--out", str(out),
+                     "--set", "seeds=[0,1,2]"] + quick) == 0
+        stacked_lines = capsys.readouterr().out.splitlines()
+        dataset = load_features(data_file)
+        config = config_from_flat(json.loads(
+            (out / "metrics_seed0.jsonl").read_text().splitlines()[0])["config"])
+        assert config.seeds == (0, 1, 2)
+        splits = split_dataset(dataset, config.split_seed)
+        for seed in (0, 1, 2):
+            result = train(config, splits.train, seed=seed, eval_dataset=splits.val)
+            write_metrics_log(tmp_path / "metrics.jsonl", config, result)
+            save_checkpoint(tmp_path / "checkpoint.json", result.store, config)
+            assert ((out / f"metrics_seed{seed}.jsonl").read_bytes()
+                    == (tmp_path / "metrics.jsonl").read_bytes())
+            assert ((out / f"checkpoint_seed{seed}.json").read_bytes()
+                    == (tmp_path / "checkpoint.json").read_bytes())
+            assert main(["train", "--data", str(data_file), "--out", str(tmp_path / f"s{seed}"),
+                         "--set", f"seeds=[{seed}]"] + quick) == 0
+            assert stacked_lines[seed] == capsys.readouterr().out.splitlines()[0]
 
     def test_missing_data_is_validation_error(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "y")] + QUICK) == 1
@@ -188,10 +215,10 @@ class TestSweepAndAblate:
     def test_task_error_in_worker_is_runtime_failure(self, data_file, tmp_path, monkeypatch,
                                                      capsys):
         # Forked workers inherit the patched module attribute.
-        def diverge(config, dataset, seed):
-            raise NonFiniteLossError(f"loss diverged for seed {seed}")
+        def diverge(config, dataset, seeds):
+            raise NonFiniteLossError(f"loss diverged for seeds {seeds}")
 
-        monkeypatch.setattr(evaluation, "train_and_score", diverge)
+        monkeypatch.setattr(evaluation, "train_and_score_seeds", diverge)
         code = main(["ablate", "--data", str(data_file), "--out", str(tmp_path / "ab"),
                      "--jobs", "2"] + QUICK)
         assert code == 2
@@ -199,10 +226,10 @@ class TestSweepAndAblate:
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_is_runtime_failure(self, data_file, tmp_path, monkeypatch, capsys):
-        def die(config, dataset, seed):
+        def die(config, dataset, seeds):
             os._exit(1)
 
-        monkeypatch.setattr(evaluation, "train_and_score", die)
+        monkeypatch.setattr(evaluation, "train_and_score_seeds", die)
         code = main(["ablate", "--data", str(data_file), "--out", str(tmp_path / "ab"),
                      "--jobs", "2"] + QUICK)
         assert code == 2

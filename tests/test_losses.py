@@ -313,3 +313,26 @@ class TestSupConLoss:
 
     def test_single_sample_batch_is_zero(self):
         assert supcon_loss(Tensor([[1.0, 2.0]]), [0], 0.07).item() == 0.0
+
+
+class TestStackedTerms:
+    """Stacked inputs: one batch per seed along a leading axis."""
+
+    def test_sample_weights_weigh_each_batch_on_its_own(self):
+        labels = np.array([[1, 3, 1, 1], [0, 0, 0, 5], [2, 2, 2, 2]])
+        weights = sample_weights(labels, gamma=1.3)
+        for row, batch in zip(weights, labels):
+            np.testing.assert_array_equal(row, sample_weights(batch, gamma=1.3))
+
+    def test_floored_logs_are_counted_per_seed(self):
+        probs = np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.0, 1.0], [1.0, 0.0]]])
+        labels = np.array([[1, 0], [0, 1]])
+        counter = FloorCount(np.zeros(2, dtype=np.intp))
+        value = cross_entropy(Tensor(probs), labels, counter=counter)
+        assert value.shape == (2,)
+        np.testing.assert_array_equal(counter.count, [1, 2])
+        for seed in range(2):
+            alone = FloorCount()
+            assert cross_entropy(Tensor(probs[seed]), labels[seed], counter=alone).item() \
+                == value.values[seed]
+            assert alone.count == counter.count[seed]

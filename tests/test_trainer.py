@@ -1,16 +1,20 @@
+import hashlib
 import json
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from sslcl.autodiff import Tape
 from sslcl.cli import main
-from sslcl.data import FeatureDataset, generate_synthetic, preset_spec, save_jsonl, split_dataset
+from sslcl.data import (FeatureDataset, batch_iter, generate_synthetic, preset_spec, save_jsonl,
+                        split_dataset, stack_batches)
+from sslcl.evaluation import ablation_arms, train_and_score, train_and_score_seeds
 from sslcl.losses import HyperParams
 from sslcl.trainer import (FLAT_KEYS, Adam, ConfigError, NonFiniteLossError, ParameterStore,
-                           RunConfig, TrainResult, config_from_flat, config_to_flat, gradcheck,
-                           load_checkpoint, predict, save_checkpoint, train,
-                           write_metrics_log)
+                           RunConfig, TrainResult, compute_step_loss, config_from_flat,
+                           config_to_flat, gradcheck, init_params, load_checkpoint, predict,
+                           save_checkpoint, train, train_seeds, write_metrics_log)
 
 
 class TestAdam:
@@ -317,8 +321,8 @@ class TestDivergence:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_abort_names_op_step_and_epoch(self, tiny_dataset):
-        with pytest.raises(NonFiniteLossError,
-                           match=r"^aborted at step 0 \(epoch 0\): mul produced non-finite values$"):
+        with pytest.raises(NonFiniteLossError, match=r"^seed 0: aborted at step 0 \(epoch 0\): "
+                                                     r"mul produced non-finite values$"):
             train(_tiny_config(), _blown_up(tiny_dataset), seed=0)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -328,8 +332,46 @@ class TestDivergence:
         code = main(["train", "--data", str(path), "--out", str(tmp_path / "run"),
                      "--set", "epochs=1", "--set", "seeds=[0]"])
         assert code == 2
-        assert ("runtime failure: aborted at step 0 (epoch 0): mul produced non-finite values"
-                in capsys.readouterr().err)
+        assert ("runtime failure: seed 0: aborted at step 0 (epoch 0): mul produced non-finite "
+                "values" in capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("failing", [(1,), (1, 2)])
+    def test_stacked_abort_names_the_seed_a_serial_run_names(self, tiny_dataset, failing):
+        # Give each failing seed one infinite record that it meets at step 2
+        # and no seed meets earlier (nor seed 0 at step 2): those seeds
+        # diverge after their steps 0 and 1, and the abort names the first.
+        config = _tiny_config()
+        orders = {seed: [batch.ids for batch in batch_iter(tiny_dataset, 8, seed=[seed, 0])]
+                  for seed in (0, 1, 2)}
+        early = {rid for seed in (0, 1, 2) for batch in orders[seed][:2] for rid in batch}
+        early |= set(orders[0][2])
+        targets = {next(rid for rid in orders[seed][2] if rid not in early) for seed in failing}
+        records = [replace(r, text=np.full_like(r.text, np.inf)) if r.id in targets else r
+                   for r in tiny_dataset.records]
+        dataset = FeatureDataset(tiny_dataset.header, records)
+        for seed in failing:
+            with pytest.raises(NonFiniteLossError, match=f"^seed {seed}: aborted at step 2 "):
+                train(config, dataset, seed=seed)
+        with pytest.raises(NonFiniteLossError) as serial:
+            train(config, dataset, seed=failing[0])
+        with pytest.raises(NonFiniteLossError) as stacked:
+            train_seeds(config, dataset, [0, 1, 2])
+        assert str(stacked.value) == str(serial.value)
+        assert str(stacked.value).startswith(f"seed {failing[0]}: aborted at step 2 (epoch 0): ")
+        assert "; last step terms: " in str(stacked.value)
+
+    def test_backstop_names_the_parameter_group(self):
+        # A VJP that returns a stored infinity raises no floating-point flag;
+        # only the backstop check on the returned gradients sees it.
+        from sslcl import autodiff as ad
+        tape = Tape()
+        leaves = ParameterStore({"enc.fusion_b": np.ones(2), "head.bias": np.ones(2)}).leaves(tape)
+        bias = leaves["head.bias"]
+        out = ad._make("leaky", bias.values.copy(), (bias,), lambda g: (np.full(2, np.inf),))
+        with pytest.raises(ad.NonFiniteError, match=r"^backward produced non-finite values "
+                                                    r"for head parameter head\.bias$"):
+            tape.gradients(ad.sum_all(out))
 
 
 class TestPredict:
@@ -357,3 +399,68 @@ class TestGradcheck:
         label_row = [row for row in report.rows
                      if row["mode"] == "ce-only" and row["group"] == "label"][0]
         assert label_row["max_rel_err"] < 1e-4
+
+
+def _sha(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _checkpoint_sha(path, store, config) -> str:
+    save_checkpoint(path, store, config)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _stacked_arms():
+    base = RunConfig(batch_size=8, epochs=2, seeds=(0, 1, 2), hidden_dim=5, feature_dim=3,
+                     encoder_lr=3e-3)
+    arms = dict(ablation_arms(base))
+    arms["supcon"] = replace(base, loss_mode="supcon")
+    arms["ce-only"] = replace(base, loss_mode="ce-only")
+    return arms
+
+
+@pytest.fixture(scope="module")
+def one_row_tail_dataset():
+    # 139 records: a 97-row train split, so the last batch of 8 has one row
+    # and the single-sample Soft-HGR fallback runs inside a stacked step.
+    dataset = generate_synthetic(preset_spec("meld-like", 139, seed=4))
+    assert len(split_dataset(dataset, RunConfig().split_seed).train) % 8 == 1
+    return dataset
+
+
+class TestStackedTraining:
+    """Three seeds trained as one stacked run against three serial runs."""
+
+    @pytest.mark.parametrize("arm", list(_stacked_arms()))
+    def test_each_seed_equals_its_serial_run(self, arm, one_row_tail_dataset, tmp_path):
+        config = _stacked_arms()[arm]
+        splits = split_dataset(one_row_tail_dataset, config.split_seed)
+        stacked = train_seeds(config, splits.train, config.seeds, eval_dataset=splits.val)
+        for seed, result in zip(config.seeds, stacked):
+            serial = train(config, splits.train, seed=seed, eval_dataset=splits.val)
+            assert _sha(result.metrics_lines) == _sha(serial.metrics_lines)
+            assert (_checkpoint_sha(tmp_path / "a.json", result.store, config)
+                    == _checkpoint_sha(tmp_path / "b.json", serial.store, config))
+        scores = train_and_score_seeds(config, one_row_tail_dataset, config.seeds)
+        assert scores == [train_and_score(config, one_row_tail_dataset, seed)
+                          for seed in config.seeds]
+
+    @pytest.mark.parametrize("arm", list(_stacked_arms()))
+    def test_stacked_step_records_the_serial_op_count(self, arm, one_row_tail_dataset):
+        config = _stacked_arms()[arm]
+        header = one_row_tail_dataset.header
+        for size in (8, 1):
+            batches = [next(batch_iter(one_row_tail_dataset, size, seed=[seed, 0]))
+                       for seed in config.seeds]
+            stores = [init_params(header, config, np.random.default_rng(seed))
+                      for seed in config.seeds]
+            counts = []
+            for store, batch in zip(stores, batches):
+                tape = Tape()
+                compute_step_loss(config, store.leaves(tape), batch)
+                counts.append(len(tape._records))
+            tape = Tape()
+            total, _ = compute_step_loss(config, ParameterStore.stack(stores).leaves(tape),
+                                         stack_batches(batches))
+            assert total.shape == (3,)
+            assert counts == [len(tape._records)] * 3
