@@ -5,11 +5,12 @@ after training (pairwise cosines shrink as the discrimination term pushes
 the rows apart), and the head-vs-similarity prediction modes.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
 
-from sslcl import embed_labels, generate_synthetic, predict, preset_spec, train, weighted_f1
+from sslcl import embed_labels, generate_synthetic, preset_spec, score, train
 from sslcl.data import split_dataset
 from sslcl.trainer import RunConfig, init_params
 
@@ -29,7 +30,10 @@ before = init_params(dataset.header, config, np.random.default_rng(0))
 cos_before = pairwise_cosines(embed_labels(before.constants(), config.le_depth).values)
 
 result = train(config, splits.train, seed=0, eval_dataset=splits.val)
-for record in result.epoch_scores:
+# The metrics log holds one record per step, then one per epoch.
+for record in map(json.loads, result.metrics_lines):
+    if "train_wf1" not in record:
+        continue
     print(f"epoch {record['epoch']}: train w-F1 {record['train_wf1']:.4f}  "
           f"val w-F1 {record['eval_wf1']:.4f}")
 
@@ -38,10 +42,7 @@ print(f"\nlabel-embedding pairwise cosines: "
       f"max {cos_before.max():+.3f} -> {cos_after.max():+.3f}, "
       f"mean {cos_before.mean():+.3f} -> {cos_after.mean():+.3f}")
 
-golds = [r.label for r in splits.test.records]
 for predictor in ("head", "similarity"):
-    preds = predict(result.store, dataset.header, splits.test.records,
-                    replace(config, predictor=predictor))
-    wf1, per_class = weighted_f1(preds, golds, dataset.header.num_labels)
+    [(wf1, per_class)] = score(result.store, splits.test, replace(config, predictor=predictor))
     print(f"\n{predictor} predictor: test w-F1 {wf1:.4f}")
     print("  per-class F1: " + " ".join(f"{v:.3f}" for v in per_class))

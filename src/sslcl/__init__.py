@@ -19,6 +19,6 @@ from .losses import (FloorCount, HyperParams, LossBreakdown, cross_entropy,
 from .metrics import weighted_f1
 from .similarity import SimilarityContext, build_context, sim_matrix
 from .trainer import (Adam, GradCheckReport, RunConfig, TrainResult, gradcheck,
-                      load_checkpoint, predict, save_checkpoint, train, train_seeds)
+                      load_checkpoint, predict, save_checkpoint, score, train, train_seeds)
 
 __version__ = "0.1.0"

@@ -21,10 +21,9 @@ from ._files import write_text
 from .data import PRESETS, generate_synthetic, load_features, preset_spec, save_jsonl, split_dataset
 from .evaluation import (DEFAULT_SWEEP_SIZES, SWEEP_MODES, ablation_suite, batch_size_sweep,
                          write_ablation_report, write_sweep_report)
-from .metrics import weighted_f1
-from .trainer import (ConfigError, NonFiniteLossError, RunConfig, config_from_flat,
-                      config_to_flat, gradcheck, init_params, load_checkpoint, predict,
-                      save_checkpoint, train_seeds, write_metrics_log)
+from .trainer import (ConfigError, NonFiniteLossError, ParameterStore, RunConfig,
+                      config_from_flat, config_to_flat, gradcheck, init_params, load_checkpoint,
+                      save_checkpoint, score, train_seeds, write_metrics_log)
 
 SEED_ENV_VAR = "SSLCL_SEED"
 JOBS_HELP = ("worker processes (at least 1); results are byte-identical to --jobs 1, "
@@ -88,15 +87,12 @@ def _cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = split_dataset(dataset, config.split_seed)
-    test_scores = []
     results = train_seeds(config, splits.train, config.seeds, eval_dataset=splits.val)
-    for seed, result in zip(config.seeds, results):
+    scores = score(ParameterStore.stack([r.store for r in results]), splits.test, config)
+    test_scores = [wf1 for wf1, _ in scores]
+    for seed, result, wf1 in zip(config.seeds, results, test_scores):
         write_metrics_log(out_dir / f"metrics_seed{seed}.jsonl", config, result)
         save_checkpoint(out_dir / f"checkpoint_seed{seed}.json", result.store, config)
-        preds = predict(result.store, dataset.header, splits.test.records, config)
-        wf1, _ = weighted_f1(preds, [r.label for r in splits.test.records],
-                             dataset.header.num_labels)
-        test_scores.append(wf1)
         print(f"seed {seed}: test w-F1 {wf1:.4f}")
     print(f"mean test w-F1 over {len(test_scores)} seed(s): "
           f"{sum(test_scores) / len(test_scores):.4f}")
@@ -121,13 +117,10 @@ def _cmd_eval(args) -> int:
         config = replace(config, predictor=args.predictor)
     dataset = load_features(args.data)
     _check_checkpoint_fits(store, dataset.header, config)
-    if args.split == "all":
-        records = dataset.records
-    else:
-        records = getattr(split_dataset(dataset, config.split_seed), args.split).records
-    preds = predict(store, dataset.header, records, config)
-    wf1, per_class = weighted_f1(preds, [r.label for r in records], dataset.header.num_labels)
-    print(f"w-F1 on {args.split} ({len(records)} records): {wf1:.4f}")
+    if args.split != "all":
+        dataset = getattr(split_dataset(dataset, config.split_seed), args.split)
+    [(wf1, per_class)] = score(store, dataset, config)
+    print(f"w-F1 on {args.split} ({len(dataset)} records): {wf1:.4f}")
     for name, f1 in zip(dataset.header.label_names, per_class):
         print(f"  {name}: F1 {f1:.4f}")
     return 0

@@ -87,10 +87,14 @@ def encode(batch: FeatureBatch, mask: ModalityMask, params: dict[str, Tensor]) -
     hid_v = ad.relu(ad.matmul(Tensor(visual), ad.transpose(params["enc.visual_proj"])))
     fused = ad.concat_cols([hid_t, hid_a, hid_v])
     pre = ad.add_rowvec(ad.matmul(fused, ad.transpose(params["enc.fusion_w"])), params["enc.fusion_b"])
-    raw = ad.relu(pre)
-    sq = ad.rowsum(ad.mul(raw, raw))
-    inv_norm = ad.pow_const(ad.clamp_min(sq, 1e-24), -0.5)
-    return ad.mul_colvec(raw, inv_norm)
+    return normalize_rows(ad.relu(pre))
+
+
+def normalize_rows(x: Tensor) -> Tensor:
+    """Every row scaled to unit L2 norm; the squared norm is floored at
+    1e-24, so an all-zero row stays zero."""
+    inv_norm = ad.pow_const(ad.clamp_min(ad.rowsum(ad.mul(x, x)), 1e-24), -0.5)
+    return ad.mul_colvec(x, inv_norm)
 
 
 def classify(features: Tensor, params: dict[str, Tensor]) -> Tensor:

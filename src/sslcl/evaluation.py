@@ -2,11 +2,10 @@
 the similarity/component/depth ablations, and deterministic report files.
 
 Training is organized by canonical config: each unique config is one
-task that trains all of its seeds as one stacked run, and each seed's
-score is keyed by (canonical config, seed). Arms that canonicalize to the
-same config share a single task, which is also how the harness proves
-that "remove the label-label loss" and "set its weight to zero" are the
-same experiment.
+task that trains all of its seeds as one stacked run and scores them in
+one call. Arms that canonicalize to the same config share a single task,
+which is also how the harness proves that "remove the label-label loss"
+and "set its weight to zero" are the same experiment.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ import numpy as np
 
 from ._files import write_text
 from .data import FeatureDataset, split_dataset
-from .metrics import weighted_f1
-from .trainer import RunConfig, TrainResult, config_to_flat, predict, train, train_seeds
+from .trainer import ParameterStore, RunConfig, config_to_flat, score, train, train_seeds
 
 DEFAULT_SWEEP_SIZES = (1, 2, 4, 8, 16, 32)
 SWEEP_MODES = ("sslcl", "supcon", "ce-only")
@@ -36,17 +34,11 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(canonical_config_json(config).encode()).hexdigest()[:12]
 
 
-def _test_score(result: TrainResult, config: RunConfig, dataset: FeatureDataset,
-                test: FeatureDataset) -> tuple[float, list[float]]:
-    preds = predict(result.store, dataset.header, test.records, config)
-    return weighted_f1(preds, [r.label for r in test.records], dataset.header.num_labels)
-
-
 def train_and_score(config: RunConfig, dataset: FeatureDataset, seed: int) -> tuple[float, list[float]]:
     """Train on the fixed 70/15/15 split and score weighted F1 on test."""
     splits = split_dataset(dataset, config.split_seed)
     result = train(config, splits.train, seed=seed, eval_dataset=splits.val)
-    return _test_score(result, config, dataset, splits.test)
+    return score(result.store, splits.test, config)[0]
 
 
 def train_and_score_seeds(config: RunConfig, dataset: FeatureDataset,
@@ -55,7 +47,7 @@ def train_and_score_seeds(config: RunConfig, dataset: FeatureDataset,
     run; entry i equals train_and_score(config, dataset, seeds[i])."""
     splits = split_dataset(dataset, config.split_seed)
     results = train_seeds(config, splits.train, seeds, eval_dataset=splits.val)
-    return [_test_score(result, config, dataset, splits.test) for result in results]
+    return score(ParameterStore.stack([r.store for r in results]), splits.test, config)
 
 
 # The (configs, dataset, seeds) that `_run_config` reads: set once per pool
@@ -73,10 +65,10 @@ def _run_config(key: str) -> list[tuple[float, list[float]]]:
     return train_and_score_seeds(configs[key], dataset, seeds)
 
 
-def _run_tasks(configs: dict[str, RunConfig], dataset: FeatureDataset,
-               seeds: Sequence[int], jobs: int) -> dict[tuple[str, int], tuple[float, list[float]]]:
-    """Train each unique config once, all seeds stacked in one task; the
-    per-seed results are keyed by (config key, seed) for re-assembly.
+def _run_arms(arms: dict[str, RunConfig], dataset: FeatureDataset,
+              seeds: list[int], jobs: int) -> dict[str, CellResult]:
+    """One cell per named arm. Each unique config among the arms is trained
+    once, all seeds stacked in one task.
 
     A task's cost grows slowly with the seed count: at small batch a step
     is bound by per-op overhead, which stacking shares among the seeds.
@@ -91,8 +83,8 @@ def _run_tasks(configs: dict[str, RunConfig], dataset: FeatureDataset,
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    configs = {canonical_config_json(arm): arm for arm in arms.values()}
     keys = sorted(configs)
-    seeds = list(dict.fromkeys(seeds))
     inputs = (configs, dataset, seeds)
     workers = min(jobs, len(keys))
     if workers <= 1:
@@ -117,8 +109,14 @@ def _run_tasks(configs: dict[str, RunConfig], dataset: FeatureDataset,
             scores = list(pool.map(_run_config, keys))
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
-    return {(key, seed): score for key, per_seed in zip(keys, scores)
-            for seed, score in zip(seeds, per_seed)}
+    by_key = dict(zip(keys, scores))
+    cells = {}
+    for name, arm in arms.items():
+        per_seed = by_key[canonical_config_json(arm)]
+        cells[name] = CellResult(name=name, config_hash=config_hash(arm),
+                                 scores=[wf1 for wf1, _ in per_seed],
+                                 per_class=[per_class for _, per_class in per_seed])
+    return cells
 
 
 @dataclass
@@ -173,25 +171,17 @@ def batch_size_sweep(config: RunConfig, dataset: FeatureDataset,
     seeds = list(config.seeds)
     n_train = int(round(0.7 * len(dataset)))
     base_steps = config.epochs * int(np.ceil(n_train / config.batch_size))
-    arm_configs: dict[str, RunConfig] = {}
-    arm_of: dict[tuple[str, int], str] = {}
+    arms = {}
     for mode in modes:
         for size in sizes:
             epochs = (max(1, round(base_steps / np.ceil(n_train / size))) if equalize_steps
                       else config.epochs)
-            arm = replace(config, loss_mode=mode, batch_size=size, epochs=epochs)
-            key = canonical_config_json(arm)
-            arm_configs[key] = arm
-            arm_of[(mode, size)] = key
-    results = _run_tasks(arm_configs, dataset, seeds, jobs)
-    cells = {}
-    for (mode, size), key in arm_of.items():
-        scores = [results[(key, s)][0] for s in seeds]
-        per_class = [results[(key, s)][1] for s in seeds]
-        cells[(mode, size)] = CellResult(
-            name=f"{mode}@bs{size}", config_hash=config_hash(arm_configs[key]),
-            scores=scores, per_class=per_class)
-    return SweepResult(sizes=list(sizes), modes=list(modes), seeds=seeds, cells=cells)
+            arms[f"{mode}@bs{size}"] = replace(config, loss_mode=mode, batch_size=size,
+                                               epochs=epochs)
+    cells = _run_arms(arms, dataset, seeds, jobs)
+    return SweepResult(sizes=list(sizes), modes=list(modes), seeds=seeds,
+                       cells={(mode, size): cells[f"{mode}@bs{size}"]
+                              for mode in modes for size in sizes})
 
 
 def sweep_to_csv(sweep: SweepResult, num_labels: int) -> str:
@@ -236,16 +226,7 @@ class AblationReport:
 def ablation_suite(config: RunConfig, dataset: FeatureDataset, jobs: int = 1) -> AblationReport:
     seeds = list(config.seeds)
     arms = ablation_arms(config)
-    unique = {canonical_config_json(c): c for c in arms.values()}
-    results = _run_tasks(unique, dataset, seeds, jobs)
-    report_arms = {}
-    for name, arm in arms.items():
-        key = canonical_config_json(arm)
-        report_arms[name] = CellResult(
-            name=name, config_hash=config_hash(arm),
-            scores=[results[(key, s)][0] for s in seeds],
-            per_class=[results[(key, s)][1] for s in seeds])
-    return AblationReport(arms=report_arms, seeds=seeds,
+    return AblationReport(arms=_run_arms(arms, dataset, seeds, jobs), seeds=seeds,
                           arm_configs={name: config_to_flat(c) for name, c in arms.items()})
 
 

@@ -2,8 +2,9 @@
 
 Default is the two-layer form: an embedding table through a ReLU, then a
 single linear projection. The embedding-only and three-layer variants
-exist for the depth ablation; embedding-only requires the table width to
-already match the feature dimension since nothing projects it.
+exist for the depth ablation. Nothing projects the embedding-only table,
+so the run config gives it the feature dimension as its width
+(`RunConfig.label_embed_dim`).
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ def init_label_params(num_labels: int, feature_dim: int, embed_dim: int, depth: 
                       rng: np.random.Generator) -> dict[str, np.ndarray]:
     if depth not in DEPTHS:
         raise ValueError(f"unknown label-embedding depth {depth!r}")
-    if depth == "embedding-only" and embed_dim != feature_dim:
-        raise ValueError(
-            "embedding-only depth needs the embedding width to equal the feature "
-            f"dimension (got {embed_dim} vs {feature_dim})")
     params = {"label.embed": _uniform_init(rng, (num_labels, embed_dim), embed_dim)}
     if depth == "two-layer":
         params["label.project_w"] = _uniform_init(rng, (feature_dim, embed_dim), embed_dim)

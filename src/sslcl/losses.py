@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .encoder import normalize_rows
 from . import similarity as sim
 from .similarity import SimilarityContext
 
@@ -280,9 +281,7 @@ def supcon_loss(features: Tensor, labels, temperature: float) -> Tensor:
         raise ValueError("labels must match the batch size")
     if n < 2:
         return Tensor(np.zeros(labels.shape[:-1]))
-    sq = ad.rowsum(ad.mul(features, features))
-    inv_norm = ad.pow_const(ad.clamp_min(sq, 1e-24), -0.5)
-    normed = ad.mul_colvec(features, inv_norm)
+    normed = normalize_rows(features)
     sims = ad.scale(ad.matmul(normed, ad.transpose(normed)), 1.0 / temperature)
 
     offdiag = 1.0 - np.eye(n)

@@ -91,8 +91,9 @@ class RunConfig:
             lr = getattr(self, name)
             if not 0 <= lr < math.inf:
                 raise ConfigError(f"{name} must be finite and non-negative, got {lr!r}")
-        if not self.seeds:
-            raise ConfigError("seed list must not be empty")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds: the seed list must be non-empty with no seed twice, "
+                              f"got {list(self.seeds)}")
 
 
 # Flat key -> field annotation (a string, under `from __future__ import
@@ -255,26 +256,36 @@ def compute_step_loss(config: RunConfig, leaves: dict[str, Tensor],
 
 
 def predict(store: ParameterStore, header: DatasetHeader, records, config: RunConfig) -> np.ndarray:
-    """Predicted labels; head argmax by default, similarity argmax as the
-    diagnostic mode (its batch assignment comes from the head, since true
-    labels are unavailable at inference)."""
+    """Predicted labels (N,), or (S, N) from a stacked store: one row per
+    seed, each equal to that seed's own call. Head argmax by default,
+    similarity argmax as the diagnostic mode (its batch assignment comes
+    from the head, since true labels are unavailable at inference); a
+    stacked similarity call holds S N x N Grams at once."""
     batch = records_to_batch(header, records)
     consts = store.constants()
     feats = encode(batch, FULL_MASK, consts)
     probs = classify(feats, consts)
-    head_preds = np.argmax(probs.values, axis=1)
+    head_preds = np.argmax(probs.values, axis=-1)
     if config.predictor == "head":
         return head_preds
     table = embed_labels(consts, config.le_depth)
     ctx = build_context(feats, table, head_preds, config.measure)
-    return np.argmax(sim_matrix(ctx).values, axis=1)
+    return np.argmax(sim_matrix(ctx).values, axis=-1)
+
+
+def score(store: ParameterStore, dataset: FeatureDataset,
+          config: RunConfig) -> list[tuple[float, list[float]]]:
+    """(weighted F1, per-class F1) on the dataset from one predict call:
+    one entry per seed of a stacked store, a single entry for a plain one."""
+    preds = predict(store, dataset.header, dataset.records, config)
+    golds = [r.label for r in dataset.records]
+    return [weighted_f1(row, golds, dataset.header.num_labels) for row in np.atleast_2d(preds)]
 
 
 @dataclass
 class TrainResult:
     store: ParameterStore
     metrics_lines: list[str]
-    epoch_scores: list[dict]
 
 
 def train(config: RunConfig, dataset: FeatureDataset, *, seed: int,
@@ -291,14 +302,6 @@ def train_seeds(config: RunConfig, dataset: FeatureDataset, seeds: Sequence[int]
     return _train(config, dataset, list(seeds), eval_dataset, stacked=True)
 
 
-def _score(store: ParameterStore, dataset: FeatureDataset | None, config: RunConfig) -> float | None:
-    if dataset is None or not len(dataset):
-        return None
-    wf1, _ = weighted_f1(predict(store, dataset.header, dataset.records, config),
-                         [r.label for r in dataset.records], dataset.header.num_labels)
-    return wf1
-
-
 def _train(config: RunConfig, dataset: FeatureDataset, seeds: list[int],
            eval_dataset: FeatureDataset | None, *, stacked: bool) -> list[TrainResult]:
     if len(dataset) == 0:
@@ -307,12 +310,7 @@ def _train(config: RunConfig, dataset: FeatureDataset, seeds: list[int],
     store = ParameterStore.stack(stores) if stacked else stores[0]
     opt_encoder = Adam(store.encoder_names, config.encoder_lr)
     opt_label = Adam(store.label_names, config.label_net_lr)
-
-    def seed_store(index: int) -> ParameterStore:
-        return store.seed(index) if stacked else store
-
     lines: list[list[str]] = [[] for _ in seeds]
-    epoch_scores: list[list[dict]] = [[] for _ in seeds]
     step = 0
     last_records: list[dict | None] = [None for _ in seeds]
     for epoch in range(config.epochs):
@@ -340,14 +338,13 @@ def _train(config: RunConfig, dataset: FeatureDataset, seeds: list[int],
                 lines[index].append(json.dumps(record))
                 last_records[index] = record
             step += 1
+        train_wf1 = [wf1 for wf1, _ in score(store, dataset, config)]
+        eval_wf1 = ([wf1 for wf1, _ in score(store, eval_dataset, config)]
+                    if eval_dataset is not None and len(eval_dataset) else [None] * len(seeds))
         for index in range(len(seeds)):
-            epoch_record = {"epoch": epoch,
-                            "train_wf1": _score(seed_store(index), dataset, config),
-                            "eval_wf1": _score(seed_store(index), eval_dataset, config)}
-            lines[index].append(json.dumps(epoch_record))
-            epoch_scores[index].append(epoch_record)
-    return [TrainResult(store=seed_store(index), metrics_lines=lines[index],
-                        epoch_scores=epoch_scores[index])
+            lines[index].append(json.dumps(
+                {"epoch": epoch, "train_wf1": train_wf1[index], "eval_wf1": eval_wf1[index]}))
+    return [TrainResult(store=store.seed(index) if stacked else store, metrics_lines=lines[index])
             for index in range(len(seeds))]
 
 

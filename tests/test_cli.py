@@ -98,6 +98,19 @@ class TestTrain:
         assert (out / "checkpoint_seed5.json").exists()
         assert not (out / "checkpoint_seed0.json").exists()
 
+    @pytest.mark.parametrize("how", ["set", "env"])
+    def test_repeated_seed_exits_one_naming_seeds(self, data_file, tmp_path, monkeypatch,
+                                                  capsys, how):
+        out = tmp_path / "dup"
+        args = ["train", "--data", str(data_file), "--out", str(out)] + QUICK
+        if how == "set":
+            args += ["--set", "seeds=[1,1]"]
+        else:
+            monkeypatch.setenv("SSLCL_SEED", "1,1")
+        assert main(args) == 1
+        assert "seeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stacked_seeds_write_the_files_of_serial_runs(self, data_file, tmp_path, capsys):
         # One stacked run of three seeds against three serial library runs
         # of the same config (which echoes the seed list), then against the

@@ -39,10 +39,6 @@ class TestTwoLayer:
 
 
 class TestVariants:
-    def test_embedding_only_requires_matching_dims(self):
-        with pytest.raises(ValueError):
-            init_label_params(3, 4, 8, "embedding-only", np.random.default_rng(5))
-
     def test_embedding_only_is_relu_of_table(self):
         arrays = init_label_params(3, 4, 4, "embedding-only", np.random.default_rng(6))
         table = embed_labels(_constants(arrays), "embedding-only").values

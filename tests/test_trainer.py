@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from sslcl import trainer
 from sslcl.autodiff import Tape
 from sslcl.cli import main
 from sslcl.data import (FeatureDataset, batch_iter, generate_synthetic, preset_spec, save_jsonl,
@@ -14,7 +15,7 @@ from sslcl.losses import HyperParams
 from sslcl.trainer import (FLAT_KEYS, Adam, ConfigError, NonFiniteLossError, ParameterStore,
                            RunConfig, TrainResult, compute_step_loss, config_from_flat,
                            config_to_flat, gradcheck, init_params, load_checkpoint, predict,
-                           save_checkpoint, train, train_seeds, write_metrics_log)
+                           save_checkpoint, score, train, train_seeds, write_metrics_log)
 
 
 class TestAdam:
@@ -139,6 +140,10 @@ class TestConfigFlat:
             RunConfig(batch_size=0)
         with pytest.raises(ConfigError, match="seed list"):
             RunConfig(seeds=())
+        with pytest.raises(ConfigError, match=r"^seeds: .*\[1, 2, 1\]"):
+            RunConfig(seeds=(1, 2, 1))
+        with pytest.raises(ConfigError, match="^seeds"):
+            config_from_flat({"seeds": [3, 3]})
         with pytest.raises(ValueError, match="alpha"):
             HyperParams(alpha=0.0)
         with pytest.raises(FrozenInstanceError):
@@ -243,7 +248,7 @@ class TestTrain:
         config = RunConfig(loss_mode="ce-only", epochs=50, batch_size=16, seeds=(0,),
                            hidden_dim=16, feature_dim=8)
         result = train(config, separable_two_class, seed=0)
-        assert result.epoch_scores[-1]["train_wf1"] >= 0.95
+        assert json.loads(result.metrics_lines[-1])["train_wf1"] >= 0.95
 
     def test_sslcl_loss_strictly_decreases(self, separable_two_class):
         config = RunConfig(epochs=10, batch_size=16, seeds=(0,), hidden_dim=16,
@@ -290,7 +295,7 @@ class TestAtomicWrites:
         write_metrics_log(path, config, result)
         before = path.read_bytes()
         # The header line is written before the bad record fails.
-        broken = TrainResult(result.store, result.metrics_lines[:3] + [None], [])
+        broken = TrainResult(result.store, result.metrics_lines[:3] + [None])
         with pytest.raises(TypeError):
             write_metrics_log(path, config, broken)
         assert path.read_bytes() == before
@@ -383,6 +388,39 @@ class TestPredict:
                             tiny_dataset.records, replace(config, predictor=predictor))
             assert preds.shape == (len(tiny_dataset),)
             assert np.all((preds >= 0) & (preds < tiny_dataset.header.num_labels))
+
+    @pytest.mark.parametrize("predictor", ["head", "similarity"])
+    def test_stacked_store_equals_per_seed_calls(self, tiny_dataset, predictor):
+        config = _tiny_config(seeds=(0, 1, 2), predictor=predictor)
+        results = train_seeds(config, tiny_dataset, config.seeds)
+        stacked = ParameterStore.stack([r.store for r in results])
+        preds = predict(stacked, tiny_dataset.header, tiny_dataset.records, config)
+        assert preds.shape == (3, len(tiny_dataset))
+        assert len({tuple(row) for row in preds}) > 1  # the seeds disagree somewhere
+        for row, result in zip(preds, results):
+            np.testing.assert_array_equal(
+                row, predict(result.store, tiny_dataset.header, tiny_dataset.records, config))
+        assert (score(stacked, tiny_dataset, config)
+                == [score(r.store, tiny_dataset, config)[0] for r in results])
+
+    def test_train_seeds_predicts_once_per_split_per_epoch(self, tiny_dataset, monkeypatch):
+        calls = []
+        real_predict = trainer.predict
+
+        def counting_predict(store, header, records, config):
+            calls.append(len(records))
+            return real_predict(store, header, records, config)
+
+        monkeypatch.setattr(trainer, "predict", counting_predict)
+        config = _tiny_config(seeds=(0, 1, 2))
+        splits = split_dataset(tiny_dataset, config.split_seed)
+        train_seeds(config, splits.train, config.seeds, eval_dataset=splits.val)
+        assert calls == [len(splits.train), len(splits.val)] * config.epochs
+        calls.clear()
+        results = train_seeds(config, splits.train, config.seeds,
+                              eval_dataset=FeatureDataset(tiny_dataset.header, []))
+        assert calls == [len(splits.train)] * config.epochs
+        assert json.loads(results[2].metrics_lines[-1])["eval_wf1"] is None
 
 
 class TestGradcheck:
