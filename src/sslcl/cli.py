@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from ._files import write_text
-from .data import PRESETS, generate_synthetic, load_features, preset_spec, save_jsonl, split_dataset
+from .data import (PRESETS, SyntheticSpec, generate_synthetic, load_features, preset_spec,
+                   save_jsonl, split_dataset)
 from .evaluation import (DEFAULT_SWEEP_SIZES, SWEEP_MODES, ablation_suite, batch_size_sweep,
                          write_ablation_report, write_sweep_report)
 from .trainer import (ConfigError, NonFiniteLossError, ParameterStore, RunConfig,
@@ -71,10 +72,7 @@ def _require_data(data_path: str | None):
 
 
 def _cmd_gen_data(args) -> int:
-    overrides = {}
-    if args.class_separation is not None:
-        overrides["class_separation"] = args.class_separation
-    spec = preset_spec(args.preset, args.n, args.seed, **overrides)
+    spec = preset_spec(args.preset, args.n, args.seed, class_separation=args.class_separation)
     dataset = generate_synthetic(spec)
     save_jsonl(dataset, args.out)
     print(f"wrote {len(dataset)} records ({spec.num_labels} classes) to {args.out}")
@@ -87,15 +85,14 @@ def _cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = split_dataset(dataset, config.split_seed)
-    results = train_seeds(config, splits.train, config.seeds, eval_dataset=splits.val)
+    results = train_seeds(config, splits.train, eval_dataset=splits.val)
     scores = score(ParameterStore.stack([r.store for r in results]), splits.test, config)
-    test_scores = [wf1 for wf1, _ in scores]
-    for seed, result, wf1 in zip(config.seeds, results, test_scores):
+    for seed, result, (wf1, _) in zip(config.seeds, results, scores):
         write_metrics_log(out_dir / f"metrics_seed{seed}.jsonl", config, result)
         save_checkpoint(out_dir / f"checkpoint_seed{seed}.json", result.store, config)
         print(f"seed {seed}: test w-F1 {wf1:.4f}")
-    print(f"mean test w-F1 over {len(test_scores)} seed(s): "
-          f"{sum(test_scores) / len(test_scores):.4f}")
+    mean = sum(wf1 for wf1, _ in scores) / len(scores)
+    print(f"mean test w-F1 over {len(scores)} seed(s): {mean:.4f}")
     return 0
 
 
@@ -167,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--class-separation", type=float, default=None)
+    gen.add_argument("--class-separation", type=float, default=SyntheticSpec.class_separation)
     gen.set_defaults(func=_cmd_gen_data)
 
     def add_config_args(p, with_data=True):

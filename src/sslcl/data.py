@@ -11,6 +11,7 @@ complementary cues rather than substitutes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -99,6 +100,8 @@ class SyntheticSpec:
             raise ValueError("class_proportions must be strictly positive")
         if self.n_samples < self.num_labels:
             raise ValueError("n_samples must cover every class at least once")
+        if not 0 <= self.class_separation < math.inf:  # NaN fails the range test
+            raise ValueError(f"class_separation must be finite and >= 0, got {self.class_separation!r}")
 
 
 def preset_spec(name: str, n_samples: int, seed: int, **overrides) -> SyntheticSpec:
@@ -191,52 +194,60 @@ def save_jsonl(dataset: FeatureDataset, path) -> None:
             }) + "\n")
 
 
+_MODALITY_FIELDS = {"t": ("text", "d_t"), "a": ("audio", "d_a"), "v": ("visual", "d_v")}
+
+
+def _feature_vector(raw, dim: int, rec_id, key: str) -> np.ndarray:
+    """A JSON list of `dim` finite numbers as a float64 vector: the sum is
+    checked first (a null or string entry fails it), entries only if it is not finite."""
+    try:
+        ok = (isinstance(raw, list) and len(raw) == dim
+              and (math.isfinite(sum(raw)) or all(map(math.isfinite, raw))))
+    except (TypeError, OverflowError):  # a non-number, or an int beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"record {rec_id}: field {key!r} must list {dim} finite numbers, got {raw!r:.60}")
+    return np.asarray(raw, dtype=np.float64)
+
+
 def load_features(path) -> FeatureDataset:
-    """Parse a JSONL feature file, validating dimensions against the header."""
+    """Parse a JSONL feature file, checking the header and every record; a
+    malformed value raises ValueError naming its record and field."""
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line.strip():
             raise ValueError(f"{path}: missing header line")
         raw = json.loads(header_line)
-        for key in ("d_t", "d_a", "d_v", "K", "label_names"):
-            if key not in raw:
-                raise ValueError(f"{path}: header is missing {key!r}")
-        header = DatasetHeader(
-            text_dim=int(raw["d_t"]), audio_dim=int(raw["d_a"]),
-            visual_dim=int(raw["d_v"]), num_labels=int(raw["K"]),
-            label_names=tuple(raw["label_names"]),
-        )
+        if not isinstance(raw, dict) or any(type(raw.get(k)) is not int or raw[k] < 1
+                                            for k in ("d_t", "d_a", "d_v", "K")):
+            raise ValueError(f"{path}: the header must give d_t, d_a, d_v and K as positive "
+                             f"integers, got {header_line.strip():.100}")
+        names = raw.get("label_names")
+        if not (isinstance(names, list) and len(names) == raw["K"]
+                and all(isinstance(name, str) for name in names)):
+            raise ValueError(f"{path}: header 'label_names' must list K={raw['K']} names, got {names!r}")
+        header = DatasetHeader(text_dim=raw["d_t"], audio_dim=raw["d_a"], visual_dim=raw["d_v"],
+                               num_labels=raw["K"], label_names=tuple(names))
         records = []
         for line in fh:
             if not line.strip():
                 continue
             obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: a record line must be a JSON object, got {line:.60}")
             rec_id = obj.get("id", "<missing id>")
-            label = int(obj["label"])
-            if not 0 <= label < header.num_labels:
-                raise ValueError(f"record {rec_id}: unknown label {label}")
+            label = obj["label"]
+            if type(label) is not int or not 0 <= label < header.num_labels:
+                raise ValueError(f"record {rec_id}: field 'label' must be an integer class "
+                                 f"in [0, {header.num_labels}), got {label!r}")
             if obj.get("t") is None:
-                raise ValueError(f"record {rec_id}: text features absent")
-            text = np.asarray(obj["t"], dtype=np.float64)
-            if text.shape != (header.text_dim,):
-                raise ValueError(
-                    f"record {rec_id}: text dimension {text.shape[0]} != header d_t {header.text_dim}")
-            audio = visual = None
-            if obj.get("a") is not None:
-                audio = np.asarray(obj["a"], dtype=np.float64)
-                if audio.shape != (header.audio_dim,):
-                    raise ValueError(
-                        f"record {rec_id}: audio dimension {audio.shape[0]} != header d_a {header.audio_dim}")
-            if obj.get("v") is not None:
-                visual = np.asarray(obj["v"], dtype=np.float64)
-                if visual.shape != (header.visual_dim,):
-                    raise ValueError(
-                        f"record {rec_id}: visual dimension {visual.shape[0]} != header d_v {header.visual_dim}")
+                raise ValueError(f"record {rec_id}: field 't' (text features) is absent")
+            vectors = {attr: None if obj.get(key) is None
+                       else _feature_vector(obj[key], raw[dim_key], rec_id, key)
+                       for key, (attr, dim_key) in _MODALITY_FIELDS.items()}
             records.append(UtteranceRecord(
                 id=str(obj["id"]), dialogue_id=str(obj["dialogue_id"]),
-                speaker_id=str(obj["speaker_id"]), label=label,
-                text=text, audio=audio, visual=visual,
-            ))
+                speaker_id=str(obj["speaker_id"]), label=label, **vectors))
     return FeatureDataset(header, records)
 
 
@@ -305,15 +316,12 @@ class Splits:
     test: FeatureDataset
 
 
-def split_dataset(dataset: FeatureDataset, seed: int,
-                  fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)) -> Splits:
-    """Fixed train/val/test split by seed-deterministic shuffle."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
+def split_dataset(dataset: FeatureDataset, seed: int) -> Splits:
+    """Fixed 70/15/15 train/val/test split by seed-deterministic shuffle."""
     n = len(dataset)
     order = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
+    n_train = int(round(0.7 * n))
+    n_val = int(round(0.15 * n))
     return Splits(
         train=dataset.subset(order[:n_train]),
         val=dataset.subset(order[n_train:n_train + n_val]),

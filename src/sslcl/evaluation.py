@@ -2,10 +2,10 @@
 the similarity/component/depth ablations, and deterministic report files.
 
 Training is organized by canonical config: each unique config is one
-task that trains all of its seeds as one stacked run and scores them in
-one call. Arms that canonicalize to the same config share a single task,
-which is also how the harness proves that "remove the label-label loss"
-and "set its weight to zero" are the same experiment.
+task that trains all of its seeds (several as one stacked run) and scores
+them in one call. Arms that canonicalize to the same config share a single
+task, which is also how the harness proves that "remove the label-label
+loss" and "set its weight to zero" are the same experiment.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from ._files import write_text
 from .data import FeatureDataset, split_dataset
-from .trainer import ParameterStore, RunConfig, config_to_flat, score, train, train_seeds
+from .trainer import ParameterStore, RunConfig, config_to_flat, score, train_seeds
 
 DEFAULT_SWEEP_SIZES = (1, 2, 4, 8, 16, 32)
 SWEEP_MODES = ("sslcl", "supcon", "ce-only")
@@ -35,49 +35,47 @@ def config_hash(config: RunConfig) -> str:
 
 
 def train_and_score(config: RunConfig, dataset: FeatureDataset, seed: int) -> tuple[float, list[float]]:
-    """Train on the fixed 70/15/15 split and score weighted F1 on test."""
-    splits = split_dataset(dataset, config.split_seed)
-    result = train(config, splits.train, seed=seed, eval_dataset=splits.val)
-    return score(result.store, splits.test, config)[0]
+    """Train the one seed `seed` (config.seeds is ignored) in the plain loop
+    and score it as train_and_score_seeds does: (weighted F1, per-class F1)."""
+    return train_and_score_seeds(replace(config, seeds=(seed,)), dataset)[0]
 
 
-def train_and_score_seeds(config: RunConfig, dataset: FeatureDataset,
-                          seeds: Sequence[int]) -> list[tuple[float, list[float]]]:
-    """train_and_score for every seed, with the seeds trained as one stacked
-    run; entry i equals train_and_score(config, dataset, seeds[i])."""
+def train_and_score_seeds(config: RunConfig, dataset: FeatureDataset) -> list[tuple[float, list[float]]]:
+    """Train every seed of config.seeds on the fixed 70/15/15 split and score
+    (weighted F1, per-class F1) on test, one entry per seed."""
     splits = split_dataset(dataset, config.split_seed)
-    results = train_seeds(config, splits.train, seeds, eval_dataset=splits.val)
+    results = train_seeds(config, splits.train, eval_dataset=splits.val)
     return score(ParameterStore.stack([r.store for r in results]), splits.test, config)
 
 
-# The (configs, dataset, seeds) that `_run_config` reads: set once per pool
-# worker by the pool's initializer, or for the duration of a serial run.
-_task_inputs: tuple[dict[str, RunConfig], FeatureDataset, list[int]] | None = None
+# The (configs, dataset) that `_run_config` reads: set once per pool worker
+# by the pool's initializer, or for the duration of a serial run.
+_task_inputs: tuple[dict[str, RunConfig], FeatureDataset] | None = None
 
 
-def _set_task_inputs(inputs: tuple[dict[str, RunConfig], FeatureDataset, list[int]] | None) -> None:
+def _set_task_inputs(inputs: tuple[dict[str, RunConfig], FeatureDataset] | None) -> None:
     global _task_inputs
     _task_inputs = inputs
 
 
 def _run_config(key: str) -> list[tuple[float, list[float]]]:
-    configs, dataset, seeds = _task_inputs
-    return train_and_score_seeds(configs[key], dataset, seeds)
+    configs, dataset = _task_inputs
+    return train_and_score_seeds(configs[key], dataset)
 
 
 def _run_arms(arms: dict[str, RunConfig], dataset: FeatureDataset,
-              seeds: list[int], jobs: int) -> dict[str, CellResult]:
-    """One cell per named arm. Each unique config among the arms is trained
-    once, all seeds stacked in one task.
+              jobs: int) -> dict[str, CellResult]:
+    """One cell per named arm over the arms' seeds. Each unique config among
+    the arms is trained once, in one task: several seeds as one stacked run.
 
     A task's cost grows slowly with the seed count: at small batch a step
     is bound by per-op overhead, which stacking shares among the seeds.
     With jobs > 1 the tasks run in min(jobs, configs) worker processes. Each
-    worker receives the configs, the dataset and the seeds once, at start-up,
-    and holds its own copy of the dataset; a task is sent as its config key
-    only. Every seed's result is a pure function of (config, dataset, seed),
-    so the results are byte-identical to jobs=1, which runs the tasks in
-    this process. When a task raises, the pending tasks are cancelled and the
+    worker receives the configs and the dataset once, at start-up, and holds
+    its own copy of the dataset; a task is sent as its config key only.
+    Every seed's result is a pure function of (config, dataset, seed), so
+    the results are byte-identical to jobs=1, which runs the tasks in this
+    process. When a task raises, the pending tasks are cancelled and the
     workers joined before the error propagates; a worker that dies raises
     BrokenProcessPool.
     """
@@ -85,7 +83,7 @@ def _run_arms(arms: dict[str, RunConfig], dataset: FeatureDataset,
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     configs = {canonical_config_json(arm): arm for arm in arms.values()}
     keys = sorted(configs)
-    inputs = (configs, dataset, seeds)
+    inputs = (configs, dataset)
     workers = min(jobs, len(keys))
     if workers <= 1:
         _set_task_inputs(inputs)
@@ -145,7 +143,6 @@ class CellResult:
 class SweepResult:
     sizes: list[int]
     modes: list[str]
-    seeds: list[int]
     cells: dict[tuple[str, int], CellResult]
 
     def mean(self, mode: str, size: int) -> float:
@@ -166,10 +163,12 @@ def batch_size_sweep(config: RunConfig, dataset: FeatureDataset,
     batch sizes by deriving each cell's epoch count from the base config;
     without it, small-batch cells get far more updates per epoch, which
     confounds batch-size effects with optimization budget (there is no
-    early stopping to absorb the difference).
+    early stopping to absorb the difference). Sizes and modes must not repeat.
     """
-    seeds = list(config.seeds)
-    n_train = int(round(0.7 * len(dataset)))
+    for name, values in (("batch size", sizes), ("loss mode", modes)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"each {name} may appear once, got {list(values)}")
+    n_train = len(split_dataset(dataset, config.split_seed).train)
     base_steps = config.epochs * int(np.ceil(n_train / config.batch_size))
     arms = {}
     for mode in modes:
@@ -178,8 +177,8 @@ def batch_size_sweep(config: RunConfig, dataset: FeatureDataset,
                       else config.epochs)
             arms[f"{mode}@bs{size}"] = replace(config, loss_mode=mode, batch_size=size,
                                                epochs=epochs)
-    cells = _run_arms(arms, dataset, seeds, jobs)
-    return SweepResult(sizes=list(sizes), modes=list(modes), seeds=seeds,
+    cells = _run_arms(arms, dataset, jobs)
+    return SweepResult(sizes=list(sizes), modes=list(modes),
                        cells={(mode, size): cells[f"{mode}@bs{size}"]
                               for mode in modes for size in sizes})
 
@@ -216,7 +215,6 @@ def ablation_arms(config: RunConfig) -> dict[str, RunConfig]:
 @dataclass
 class AblationReport:
     arms: dict[str, CellResult]
-    seeds: list[int]
     arm_configs: dict[str, dict]
 
     def delta_vs_full(self, name: str) -> float:
@@ -224,9 +222,8 @@ class AblationReport:
 
 
 def ablation_suite(config: RunConfig, dataset: FeatureDataset, jobs: int = 1) -> AblationReport:
-    seeds = list(config.seeds)
     arms = ablation_arms(config)
-    return AblationReport(arms=_run_arms(arms, dataset, seeds, jobs), seeds=seeds,
+    return AblationReport(arms=_run_arms(arms, dataset, jobs),
                           arm_configs={name: config_to_flat(c) for name, c in arms.items()})
 
 
@@ -246,7 +243,8 @@ def ablation_to_csv(report: AblationReport, num_labels: int) -> str:
 def ablation_summary(report: AblationReport) -> str:
     """Human-readable digest with the soft ordering checks spelled out."""
     full = report.arms["full"].mean
-    lines = [f"seeds: {report.seeds}", f"full configuration: mean w-F1 {full:.4f}", ""]
+    lines = [f"seeds: {report.arm_configs['full']['seeds']}",
+             f"full configuration: mean w-F1 {full:.4f}", ""]
     for name, cell in report.arms.items():
         delta = report.delta_vs_full(name)
         lines.append(f"{name:<20} mean {cell.mean:.4f}  sd {cell.sd:.4f}  delta {delta:+.4f}")

@@ -5,10 +5,10 @@ network at its own (much smaller) learning rate; they never share state.
 Every run is a pure function of (config, dataset, seed): identical inputs
 reproduce byte-identical metrics logs and checkpoints.
 
-`train_seeds` trains several seeds of one config as a single stacked run:
-parameters carry a leading seed axis, and one tape step and one Adam
-update advance every seed. Each seed's logs and checkpoint are
-byte-identical to a `train` run of that seed alone.
+`train_seeds` trains the config's seed list: one seed in the plain loop,
+several as a single stacked run, where parameters carry a leading seed
+axis and one tape step and one Adam update advance every seed. Each
+seed's logs and checkpoint are byte-identical to a run of it alone.
 """
 
 from __future__ import annotations
@@ -290,20 +290,17 @@ class TrainResult:
 
 def train(config: RunConfig, dataset: FeatureDataset, *, seed: int,
           eval_dataset: FeatureDataset | None = None) -> TrainResult:
-    """Optimize against the configured objective; fully deterministic per seed."""
-    return _train(config, dataset, [seed], eval_dataset, stacked=False)[0]
+    """Optimize one seed against the configured objective; fully deterministic."""
+    return train_seeds(replace(config, seeds=(seed,)), dataset, eval_dataset=eval_dataset)[0]
 
 
-def train_seeds(config: RunConfig, dataset: FeatureDataset, seeds: Sequence[int], *,
+def train_seeds(config: RunConfig, dataset: FeatureDataset, *,
                 eval_dataset: FeatureDataset | None = None) -> list[TrainResult]:
-    """Train every seed in one stacked run; result i is byte-identical to
-    train(config, dataset, seed=seeds[i]). Every seed keeps its own batch
-    order, and all share the batch sizes, so the seeds advance in lockstep."""
-    return _train(config, dataset, list(seeds), eval_dataset, stacked=True)
-
-
-def _train(config: RunConfig, dataset: FeatureDataset, seeds: list[int],
-           eval_dataset: FeatureDataset | None, *, stacked: bool) -> list[TrainResult]:
+    """Train each seed of config.seeds, byte-identically to a run of it alone:
+    one seed runs the plain loop, several one stacked run in lockstep (each
+    seed keeps its own batch order, and all share the batch sizes)."""
+    seeds = list(config.seeds)
+    stacked = len(seeds) > 1
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     stores = [init_params(dataset.header, config, np.random.default_rng(seed)) for seed in seeds]

@@ -38,6 +38,13 @@ class TestGenData:
                      "--seed", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_non_finite_class_separation_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "nan.jsonl"
+        assert main(["gen-data", "--preset", "meld-like", "--n", "30",
+                     "--class-separation", "nan", "--out", str(out)]) == 1
+        assert "class_separation" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_train_writes_artifacts_and_echoes_overrides(self, data_file, tmp_path):
@@ -140,6 +147,18 @@ class TestTrain:
     def test_missing_data_is_validation_error(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "y")] + QUICK) == 1
 
+    def test_non_finite_feature_exits_one_at_load(self, data_file, tmp_path, capsys):
+        lines = data_file.read_text().splitlines()
+        record = json.loads(lines[5])
+        record["t"][1] = None
+        path = tmp_path / "null.jsonl"
+        path.write_text("\n".join(lines[:5] + [json.dumps(record)] + lines[6:]) + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(path), "--out", str(out)] + QUICK) == 1
+        assert f"validation error: record {record['id']}: field 't' must list" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestEval:
     def test_eval_checkpoint(self, data_file, tmp_path, capsys):
@@ -228,8 +247,8 @@ class TestSweepAndAblate:
     def test_task_error_in_worker_is_runtime_failure(self, data_file, tmp_path, monkeypatch,
                                                      capsys):
         # Forked workers inherit the patched module attribute.
-        def diverge(config, dataset, seeds):
-            raise NonFiniteLossError(f"loss diverged for seeds {seeds}")
+        def diverge(config, dataset):
+            raise NonFiniteLossError(f"loss diverged for seeds {list(config.seeds)}")
 
         monkeypatch.setattr(evaluation, "train_and_score_seeds", diverge)
         code = main(["ablate", "--data", str(data_file), "--out", str(tmp_path / "ab"),
@@ -239,7 +258,7 @@ class TestSweepAndAblate:
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_is_runtime_failure(self, data_file, tmp_path, monkeypatch, capsys):
-        def die(config, dataset, seeds):
+        def die(config, dataset):
             os._exit(1)
 
         monkeypatch.setattr(evaluation, "train_and_score_seeds", die)
@@ -248,6 +267,14 @@ class TestSweepAndAblate:
         assert code == 2
         assert "runtime failure:" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+
+    def test_repeated_batch_size_exits_one(self, data_file, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep-batch", "--data", str(data_file), "--out", str(out),
+                     "--sizes", "2,2", "--modes", "ce-only"] + QUICK)
+        assert code == 1
+        assert "each batch size may appear once, got [2, 2]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_jobs_below_one_is_usage_error(self, data_file, tmp_path, capsys):
         code = main(["ablate", "--data", str(data_file), "--out", str(tmp_path / "ab"),

@@ -51,6 +51,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             spec.validate()
 
+    @pytest.mark.parametrize("separation", [float("nan"), float("inf"), -1.0])
+    def test_bad_class_separation_rejected(self, separation):
+        with pytest.raises(ValueError, match="class_separation"):
+            preset_spec("meld-like", 60, seed=0, class_separation=separation)
+
     def test_modalities_all_carry_signal(self):
         # Per-class means should sit near distinct centers in every modality.
         dataset = generate_synthetic(preset_spec(
@@ -101,44 +106,54 @@ class TestJsonlRoundTrip:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_conforming_row_parses(self, tmp_path):
-        path = tmp_path / "ok.jsonl"
-        path.write_text(
-            json.dumps({"d_t": 3, "d_a": 2, "d_v": 2, "K": 6, "label_names": list("abcdef")})
-            + "\n" + json.dumps({"id": "u1", "dialogue_id": "d1", "speaker_id": "s1",
-                                 "label": 4, "t": [1.0, 2.0, 3.0], "a": None, "v": [0.5, 0.5]})
-            + "\n")
-        loaded = load_features(path)
+    @pytest.mark.parametrize("text", [[1.0, 2.0, 3.0], [1, 2, 3], [1e308, 1e308, -1e308]],
+                             ids=["floats", "ints", "overflowing-sum"])
+    def test_conforming_row_parses(self, tmp_path, text):
+        # The last vector's sum overflows, yet every entry is finite.
+        loaded = load_features(_feature_file(tmp_path / "ok.jsonl", t=text))
         assert loaded.records[0].label == 4
         assert loaded.records[0].audio is None
+        np.testing.assert_array_equal(loaded.records[0].text, np.array(text, dtype=np.float64))
 
-    def test_dimension_mismatch_names_record(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            json.dumps({"d_t": 3, "d_a": 2, "d_v": 2, "K": 6, "label_names": list("abcdef")})
-            + "\n" + json.dumps({"id": "u7", "dialogue_id": "d1", "speaker_id": "s1",
-                                 "label": 0, "t": [1.0, 2.0, 3.0, 4.0], "a": None, "v": None})
-            + "\n")
-        with pytest.raises(ValueError, match="u7"):
-            load_features(path)
+    @pytest.mark.parametrize("key,value", [
+        ("t", [1.0, 2.0, 3.0, 4.0]), ("t", 5), ("a", {"x": 1}), ("v", [0.5, None]),
+        ("t", [1.0, float("nan"), 3.0]), ("v", [float("inf"), 0.5]), ("a", [1.0, [2.0]]),
+        ("t", "abc"), ("t", [1.0, 2.0, 10 ** 400])],
+        ids=["dimension", "scalar", "object", "null", "nan", "inf", "nested", "string", "huge-int"])
+    def test_malformed_vector_names_record_and_field(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=f"^record u7: field '{key}' must list "):
+            load_features(_feature_file(tmp_path / "bad.jsonl", **{key: value}))
 
-    def test_unknown_label_rejected(self, tmp_path):
-        path = tmp_path / "bad2.jsonl"
-        path.write_text(
-            json.dumps({"d_t": 1, "d_a": 1, "d_v": 1, "K": 2, "label_names": ["a", "b"]})
-            + "\n" + json.dumps({"id": "u1", "dialogue_id": "d", "speaker_id": "s",
-                                 "label": 9, "t": [0.0], "a": None, "v": None}) + "\n")
-        with pytest.raises(ValueError, match="label"):
-            load_features(path)
+    @pytest.mark.parametrize("label", [9, -1, 1.7, True, "3", None],
+                             ids=["9", "-1", "1.7", "true", "string", "null"])
+    def test_unknown_label_rejected(self, tmp_path, label):
+        with pytest.raises(ValueError, match="^record u7: field 'label' must be an integer"):
+            load_features(_feature_file(tmp_path / "bad2.jsonl", label=label))
+
+    @pytest.mark.parametrize("header,match", [
+        ({"K": 6.9}, "K as positive integers"), ({"d_t": "3"}, "K as positive integers"),
+        ({"d_a": 0}, "K as positive integers"), ({"d_v": None}, "K as positive integers"),
+        ({"label_names": list("abcde")}, "'label_names' must list K=6 names"),
+        ({"label_names": "abcdef"}, "'label_names' must list K=6 names")],
+        ids=["K-float", "d_t-string", "d_a-zero", "d_v-null", "names-short", "names-string"])
+    def test_malformed_header_rejected(self, tmp_path, header, match):
+        with pytest.raises(ValueError, match=match):
+            load_features(_feature_file(tmp_path / "bad4.jsonl", header=header))
 
     def test_absent_text_rejected(self, tmp_path):
-        path = tmp_path / "bad3.jsonl"
-        path.write_text(
-            json.dumps({"d_t": 1, "d_a": 1, "d_v": 1, "K": 2, "label_names": ["a", "b"]})
-            + "\n" + json.dumps({"id": "u1", "dialogue_id": "d", "speaker_id": "s",
-                                 "label": 0, "t": None, "a": [1.0], "v": None}) + "\n")
         with pytest.raises(ValueError, match="text"):
-            load_features(path)
+            load_features(_feature_file(tmp_path / "bad3.jsonl", t=None, a=[1.0, 1.0]))
+
+
+def _feature_file(path, header=None, **record):
+    """A one-record feature file: a conforming header and record, with the
+    given header keys and record fields replaced."""
+    head = {"d_t": 3, "d_a": 2, "d_v": 2, "K": 6, "label_names": list("abcdef")}
+    row = {"id": "u7", "dialogue_id": "d1", "speaker_id": "s1", "label": 4,
+           "t": [1.0, 2.0, 3.0], "a": None, "v": [0.5, 0.5]}
+    path.write_text(json.dumps({**head, **(header or {})}) + "\n"
+                    + json.dumps({**row, **record}) + "\n")
+    return path
 
 
 class TestBatchIter:

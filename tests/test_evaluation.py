@@ -66,6 +66,13 @@ class TestSweep:
         direct, _ = train_and_score(direct_cfg, quick_dataset, seed=0)
         assert sweep.mean("sslcl", 4) == direct
 
+    @pytest.mark.parametrize("sizes,modes,name", [
+        ((4, 8, 4), ("ce-only",), "batch size"), ((4,), ("ce-only", "sslcl", "ce-only"), "loss mode")],
+        ids=["size", "mode"])
+    def test_repeated_size_or_mode_rejected(self, quick_dataset, sizes, modes, name):
+        with pytest.raises(ValueError, match=f"^each {name} may appear once, got "):
+            batch_size_sweep(_quick_config(), quick_dataset, sizes=sizes, modes=modes)
+
     def test_cells_aggregate_all_seeds(self, quick_dataset):
         config = _quick_config()
         sweep = batch_size_sweep(config, quick_dataset, sizes=(8,), modes=("ce-only",))

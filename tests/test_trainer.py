@@ -361,7 +361,7 @@ class TestDivergence:
         with pytest.raises(NonFiniteLossError) as serial:
             train(config, dataset, seed=failing[0])
         with pytest.raises(NonFiniteLossError) as stacked:
-            train_seeds(config, dataset, [0, 1, 2])
+            train_seeds(replace(config, seeds=(0, 1, 2)), dataset)
         assert str(stacked.value) == str(serial.value)
         assert str(stacked.value).startswith(f"seed {failing[0]}: aborted at step 2 (epoch 0): ")
         assert "; last step terms: " in str(stacked.value)
@@ -392,7 +392,7 @@ class TestPredict:
     @pytest.mark.parametrize("predictor", ["head", "similarity"])
     def test_stacked_store_equals_per_seed_calls(self, tiny_dataset, predictor):
         config = _tiny_config(seeds=(0, 1, 2), predictor=predictor)
-        results = train_seeds(config, tiny_dataset, config.seeds)
+        results = train_seeds(config, tiny_dataset)
         stacked = ParameterStore.stack([r.store for r in results])
         preds = predict(stacked, tiny_dataset.header, tiny_dataset.records, config)
         assert preds.shape == (3, len(tiny_dataset))
@@ -414,10 +414,10 @@ class TestPredict:
         monkeypatch.setattr(trainer, "predict", counting_predict)
         config = _tiny_config(seeds=(0, 1, 2))
         splits = split_dataset(tiny_dataset, config.split_seed)
-        train_seeds(config, splits.train, config.seeds, eval_dataset=splits.val)
+        train_seeds(config, splits.train, eval_dataset=splits.val)
         assert calls == [len(splits.train), len(splits.val)] * config.epochs
         calls.clear()
-        results = train_seeds(config, splits.train, config.seeds,
+        results = train_seeds(config, splits.train,
                               eval_dataset=FeatureDataset(tiny_dataset.header, []))
         assert calls == [len(splits.train)] * config.epochs
         assert json.loads(results[2].metrics_lines[-1])["eval_wf1"] is None
@@ -467,19 +467,46 @@ def one_row_tail_dataset():
 
 
 class TestStackedTraining:
-    """Three seeds trained as one stacked run against three serial runs."""
+    """Three seeds trained as one stacked run against three serial runs: the
+    one-seed `train`, which runs the plain loop, is the reference."""
+
+    @pytest.mark.parametrize("seeds", [(4,), (0, 1, 2)], ids=["one-seed", "three-seeds"])
+    def test_seed_count_picks_the_loop(self, tiny_dataset, monkeypatch, seeds):
+        # One seed trains unstacked; several stack one batch per seed each step.
+        calls = []
+        real_stack = trainer.stack_batches
+
+        def counting_stack(batches):
+            calls.append(len(batches))
+            return real_stack(batches)
+
+        monkeypatch.setattr(trainer, "stack_batches", counting_stack)
+        config = _tiny_config(seeds=seeds)
+        results = train_seeds(config, tiny_dataset)
+        steps = config.epochs * -(-len(tiny_dataset) // config.batch_size)
+        assert calls == ([] if len(seeds) == 1 else [len(seeds)] * steps)
+        assert [r.store.arrays["head.weight"].ndim for r in results] == [2] * len(seeds)
+
+    def test_seed_list_comes_only_from_the_config(self, tiny_dataset):
+        # No loose seed list: a repeated or empty one fails in RunConfig.
+        config = _tiny_config()
+        with pytest.raises(TypeError):
+            train_seeds(config, tiny_dataset, [1, 1])
+        for seeds in ((1, 1), ()):
+            with pytest.raises(ConfigError, match="^seeds: "):
+                replace(config, seeds=seeds)
 
     @pytest.mark.parametrize("arm", list(_stacked_arms()))
     def test_each_seed_equals_its_serial_run(self, arm, one_row_tail_dataset, tmp_path):
         config = _stacked_arms()[arm]
         splits = split_dataset(one_row_tail_dataset, config.split_seed)
-        stacked = train_seeds(config, splits.train, config.seeds, eval_dataset=splits.val)
+        stacked = train_seeds(config, splits.train, eval_dataset=splits.val)
         for seed, result in zip(config.seeds, stacked):
             serial = train(config, splits.train, seed=seed, eval_dataset=splits.val)
             assert _sha(result.metrics_lines) == _sha(serial.metrics_lines)
             assert (_checkpoint_sha(tmp_path / "a.json", result.store, config)
                     == _checkpoint_sha(tmp_path / "b.json", serial.store, config))
-        scores = train_and_score_seeds(config, one_row_tail_dataset, config.seeds)
+        scores = train_and_score_seeds(config, one_row_tail_dataset)
         assert scores == [train_and_score(config, one_row_tail_dataset, seed)
                           for seed in config.seeds]
 
