@@ -1,9 +1,10 @@
 """One training step's objective, term by term.
 
 Builds a small trimodal batch, encodes the full view plus the three
-masked views, and walks through the loss breakdown: focal positive and
-negative sample-label terms, the label-label discrimination term, the
-imbalance weights, cross entropy, and the combined objective.
+masked views, and walks through the objective: the per-sample focal
+positive and negative sample-label terms and imbalance weights, then the
+step terms the metrics log records (label-label discrimination, L_SSLCL,
+cross entropy) and the combined objective.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from sslcl import HyperParams, augmentation_views, build_context, classify, cros
     embed_labels, encode, generate_synthetic, preset_spec, sslcl_loss
 from sslcl.data import batch_iter
 from sslcl.encoder import FULL_MASK
+from sslcl.losses import batched_sample_losses, sample_weights
 from sslcl.trainer import RunConfig, init_params
 
 dataset = generate_synthetic(preset_spec("meld-like", 400, seed=1))
@@ -26,24 +28,24 @@ table = embed_labels(leaves, config.le_depth)
 ctx = build_context(feats, table, batch.labels, "soft-hgr")
 
 hp = HyperParams()
-node, breakdown = sslcl_loss(ctx, views, hp)
+node, terms = sslcl_loss(ctx, views, hp)
+pos, neg = batched_sample_losses(ctx, views, hp)
 probs = classify(feats, leaves)
 ce = cross_entropy(probs, batch.labels)
-breakdown.ce_loss = ce.item()
 
 print(f"batch labels:       {batch.labels.tolist()}")
 print(f"within-batch counts:{np.bincount(batch.labels)[batch.labels].tolist()}")
 print(f"imbalance weights (N/n)^gamma, gamma={hp.gamma}:")
-print("  " + " ".join(f"{w:5.2f}" for w in breakdown.sample_weights))
+print("  " + " ".join(f"{w:5.2f}" for w in sample_weights(batch.labels, hp.gamma)))
 print(f"\nper-sample focal positive terms (1 full view + {len(views)} augmented views each):")
-print("  " + " ".join(f"{v:5.2f}" for v in breakdown.positive_terms))
+print("  " + " ".join(f"{v:5.2f}" for v in pos.values))
 print("per-sample focal negative terms:")
-print("  " + " ".join(f"{v:5.2f}" for v in breakdown.negative_terms))
-print(f"\nlabel-label discrimination: {breakdown.label_loss:.4f}")
-print(f"weighted sample-label total + label term = L_SSLCL = {breakdown.sslcl_loss:.4f}")
-print(f"cross entropy: {breakdown.ce_loss:.4f}")
+print("  " + " ".join(f"{v:5.2f}" for v in neg.values))
+print(f"\nlabel-label discrimination: {terms['L_Label']:.4f}")
+print(f"weighted sample-label total + label term = L_SSLCL = {terms['L_SSLCL']:.4f}")
+print(f"cross entropy: {ce.item():.4f}")
 print(f"combined objective (eta={hp.ce_weight}): "
-      f"{breakdown.sslcl_loss + hp.ce_weight * breakdown.ce_loss:.4f}")
+      f"{terms['L_SSLCL'] + hp.ce_weight * ce.item():.4f}")
 
 print("\nfocusing exponents reshape the same similarities:")
 for alpha in (0.5, 2.0, 4.0):

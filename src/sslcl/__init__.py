@@ -14,8 +14,8 @@ from .encoder import FULL_MASK, ModalityMask, augmentation_views, classify, enco
 from .evaluation import (SweepResult, ablation_suite, batch_size_sweep, train_and_score,
                          train_and_score_seeds)
 from .label_embedding import embed_labels
-from .losses import (FloorCount, HyperParams, LossBreakdown, cross_entropy,
-                     label_label_loss, sslcl_loss, supcon_loss)
+from .losses import (STEP_TERMS, FloorCount, HyperParams, cross_entropy, label_label_loss,
+                     sslcl_loss, supcon_loss)
 from .metrics import weighted_f1
 from .similarity import SimilarityContext, build_context, sim_matrix
 from .trainer import (Adam, GradCheckReport, RunConfig, TrainResult, gradcheck,

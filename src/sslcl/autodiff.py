@@ -56,6 +56,16 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+def keep_freed_memory() -> None:
+    """Have glibc keep the heap a step frees (blocks up to 32 MB, trimmed past 64 MB: its own
+    dynamic maxima) rather than page-fault it back in next step. Process-wide."""
+    import ctypes  # imported only by a process that trains
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # None outside glibc-like libcs
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 class Tape:
     """Ordered op record plus the parameter registry.
 

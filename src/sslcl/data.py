@@ -197,12 +197,13 @@ def save_jsonl(dataset: FeatureDataset, path) -> None:
 _MODALITY_FIELDS = {"t": ("text", "d_t"), "a": ("audio", "d_a"), "v": ("visual", "d_v")}
 
 
-def _feature_vector(raw, dim: int, rec_id, key: str) -> np.ndarray:
-    """A JSON list of `dim` finite numbers as a float64 vector: the sum is
-    checked first (a null or string entry fails it), entries only if it is not finite."""
+def _feature_vector(raw, dim: int, rec_id, key: str, bools: bool) -> np.ndarray:
+    """A JSON list of `dim` finite numbers as a float64 vector: the sum is checked
+    first, each entry only if it is not finite or the line holds a JSON true/false."""
     try:
         ok = (isinstance(raw, list) and len(raw) == dim
-              and (math.isfinite(sum(raw)) or all(map(math.isfinite, raw))))
+              and (math.isfinite(sum(raw)) or all(map(math.isfinite, raw)))
+              and not (bools and any(type(x) is bool for x in raw)))
     except (TypeError, OverflowError):  # a non-number, or an int beyond the float range
         ok = False
     if not ok:
@@ -212,7 +213,8 @@ def _feature_vector(raw, dim: int, rec_id, key: str) -> np.ndarray:
 
 def load_features(path) -> FeatureDataset:
     """Parse a JSONL feature file, checking the header and every record; a
-    malformed value raises ValueError naming its record and field."""
+    malformed value raises ValueError naming its record (or line) and field.
+    Record ids are strings or integers, unique in the file."""
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line.strip():
@@ -229,24 +231,35 @@ def load_features(path) -> FeatureDataset:
         header = DatasetHeader(text_dim=raw["d_t"], audio_dim=raw["d_a"], visual_dim=raw["d_v"],
                                num_labels=raw["K"], label_names=tuple(names))
         records = []
-        for line in fh:
+        id_lines: dict[str, int] = {}
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: a record line must be a JSON object, got {line:.60}")
-            rec_id = obj.get("id", "<missing id>")
-            label = obj["label"]
+            for key in ("id", "dialogue_id", "speaker_id"):
+                if type(obj.get(key)) not in (str, int):
+                    got = f"got {obj[key]!r:.60}" if key in obj else "it is absent"
+                    raise ValueError(f"{path} line {lineno}: field {key!r} must be a string "
+                                     f"or an integer, {got}")
+            rec_id = str(obj["id"])
+            if rec_id in id_lines:
+                raise ValueError(f"{path} line {lineno}: field 'id' repeats record {rec_id} "
+                                 f"of line {id_lines[rec_id]}")
+            id_lines[rec_id] = lineno
+            label = obj.get("label")
             if type(label) is not int or not 0 <= label < header.num_labels:
                 raise ValueError(f"record {rec_id}: field 'label' must be an integer class "
                                  f"in [0, {header.num_labels}), got {label!r}")
             if obj.get("t") is None:
                 raise ValueError(f"record {rec_id}: field 't' (text features) is absent")
+            bools = "true" in line or "false" in line
             vectors = {attr: None if obj.get(key) is None
-                       else _feature_vector(obj[key], raw[dim_key], rec_id, key)
+                       else _feature_vector(obj[key], raw[dim_key], rec_id, key, bools)
                        for key, (attr, dim_key) in _MODALITY_FIELDS.items()}
             records.append(UtteranceRecord(
-                id=str(obj["id"]), dialogue_id=str(obj["dialogue_id"]),
+                id=rec_id, dialogue_id=str(obj["dialogue_id"]),
                 speaker_id=str(obj["speaker_id"]), label=label, **vectors))
     return FeatureDataset(header, records)
 

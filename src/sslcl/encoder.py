@@ -53,6 +53,7 @@ def augmentation_views(modality_setting: str) -> list[ModalityMask]:
 
 
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+    """U(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights; the label network uses it too."""
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 

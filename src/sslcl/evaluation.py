@@ -48,14 +48,9 @@ def train_and_score_seeds(config: RunConfig, dataset: FeatureDataset) -> list[tu
     return score(ParameterStore.stack([r.store for r in results]), splits.test, config)
 
 
-# The (configs, dataset) that `_run_config` reads: set once per pool worker
-# by the pool's initializer, or for the duration of a serial run.
+# The (configs, dataset) that `_run_config` reads, set for the duration of
+# one `_run_arms` call; forked pool workers inherit it.
 _task_inputs: tuple[dict[str, RunConfig], FeatureDataset] | None = None
-
-
-def _set_task_inputs(inputs: tuple[dict[str, RunConfig], FeatureDataset] | None) -> None:
-    global _task_inputs
-    _task_inputs = inputs
 
 
 def _run_config(key: str) -> list[tuple[float, list[float]]]:
@@ -70,43 +65,44 @@ def _run_arms(arms: dict[str, RunConfig], dataset: FeatureDataset,
 
     A task's cost grows slowly with the seed count: at small batch a step
     is bound by per-op overhead, which stacking shares among the seeds.
-    With jobs > 1 the tasks run in min(jobs, configs) worker processes. Each
-    worker receives the configs and the dataset once, at start-up, and holds
-    its own copy of the dataset; a task is sent as its config key only.
-    Every seed's result is a pure function of (config, dataset, seed), so
-    the results are byte-identical to jobs=1, which runs the tasks in this
-    process. When a task raises, the pending tasks are cancelled and the
-    workers joined before the error propagates; a worker that dies raises
-    BrokenProcessPool.
+    With jobs > 1 the tasks run in min(jobs, configs) worker processes.
+    The module holds the configs and the dataset for the whole call, and
+    every worker is forked inside it (Python 3.11's executor forks them all
+    at the first submit), so each starts with its own copy of both and a
+    task is sent as its config key only. Every seed's result is a pure
+    function of (config, dataset, seed), so the results are byte-identical
+    to jobs=1, which runs the tasks in this process. When a task raises, the
+    pending tasks are cancelled and the workers joined before the error
+    propagates; a worker that dies raises BrokenProcessPool.
     """
+    global _task_inputs
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     configs = {canonical_config_json(arm): arm for arm in arms.values()}
     keys = sorted(configs)
-    inputs = (configs, dataset)
     workers = min(jobs, len(keys))
-    if workers <= 1:
-        _set_task_inputs(inputs)
-        try:
+    _task_inputs = (configs, dataset)
+    try:
+        if workers <= 1:
             scores = [_run_config(key) for key in keys]
-        finally:
-            _set_task_inputs(None)
-    else:
-        # Imported here: multiprocessing would add ~1.5 MB of RSS and 20
-        # modules to every process that imports sslcl only to train.
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
+        else:
+            # Imported here: multiprocessing would add ~1.5 MB of RSS and 20
+            # modules to every process that imports sslcl only to train.
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
 
-        # fork: workers start as copies of this process, without re-importing
-        # numpy and sslcl. Neither the CLI nor the library runs a Python
-        # thread here (OpenBLAS shuts its own threads down at fork), and the
-        # pool forks its workers before it starts its manager thread.
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
-                                   initializer=_set_task_inputs, initargs=(inputs,))
-        try:
-            scores = list(pool.map(_run_config, keys))
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+            # fork: workers start as copies of this process, _task_inputs
+            # included, without re-importing numpy and sslcl. Neither the CLI
+            # nor the library runs a Python thread here (OpenBLAS shuts its
+            # own threads down at fork), and the pool forks its workers
+            # before it starts its manager thread.
+            pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"))
+            try:
+                scores = list(pool.map(_run_config, keys))
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+    finally:
+        _task_inputs = None
     by_key = dict(zip(keys, scores))
     cells = {}
     for name, arm in arms.items():

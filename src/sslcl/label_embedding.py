@@ -13,13 +13,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .encoder import _uniform_init
 
 DEPTHS = ("embedding-only", "two-layer", "three-layer")
-
-
-def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
 
 
 def init_label_params(num_labels: int, feature_dim: int, embed_dim: int, depth: str,

@@ -4,15 +4,15 @@ The trainer adds the weighted cross entropy to form the combined objective.
 
 Every term is assembled from tape primitives so the trainer gets exact
 gradients. Probabilities that can saturate pass through a 1e-300 log
-floor; each floored evaluation is counted and surfaced in the breakdown.
-Every term also takes stacked inputs with a leading seed axis and then
-returns one value per seed.
+floor; each floored evaluation is counted for the metrics log's
+`floored_logs`. Every term also takes stacked inputs with a leading seed
+axis and then returns one value per seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +52,11 @@ class HyperParams:
             raise ValueError(f"hp.label_loss_weight must be finite and non-negative, got {value!r}")
 
 
+# The metrics log's per-step terms, in record order after "step" and "epoch".
+STEP_TERMS = ("l_pos_mean", "l_neg_mean", "L_Label", "L_SSLCL", "L_CE", "L_SupCon", "L_Train",
+              "floored_logs")
+
+
 @dataclass
 class FloorCount:
     """Counts log evaluations that hit the 1e-300 floor: one count, or one
@@ -60,61 +65,7 @@ class FloorCount:
     count: int | np.ndarray = 0
 
     def add(self, hit: np.ndarray) -> None:
-        if np.ndim(self.count):
-            self.count = self.count + hit.reshape(len(self.count), -1).sum(axis=1)
-        else:
-            self.count += int(np.sum(hit))
-
-
-_PER_SAMPLE = ("positive_terms", "negative_terms", "sample_weights")
-
-
-def value_per_seed(node: Tensor) -> float | np.ndarray:
-    """A scalar node's value as a float; a stacked node's values, one per seed."""
-    return node.values if node.values.ndim else float(node.values)
-
-
-@dataclass
-class LossBreakdown:
-    """Per-term values of one training step, all float64; a term the loss
-    mode does not compute stays empty or zero. A stacked step's breakdown
-    carries a leading seed axis on every term it computes."""
-
-    positive_terms: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    negative_terms: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    sample_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    label_loss: float = 0.0
-    sslcl_loss: float = 0.0
-    ce_loss: float = 0.0
-    supcon_term: float = 0.0
-    train_loss: float = 0.0
-    floored_logs: int = 0
-
-    def seed(self, index: int) -> "LossBreakdown":
-        """The breakdown of one seed of a stacked step."""
-        parts = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # Per seed, a per-sample term is a vector and a step term a
-            # scalar; a term the loss mode left empty has no seed axis.
-            stacked = np.ndim(value) > (1 if f.name in _PER_SAMPLE else 0)
-            parts[f.name] = value[index] if stacked else value
-        return LossBreakdown(**parts)
-
-    def step_record(self, step: int, epoch: int) -> dict:
-        n = max(len(self.positive_terms), 1)
-        return {
-            "step": step,
-            "epoch": epoch,
-            "l_pos_mean": float(np.sum(self.positive_terms) / n),
-            "l_neg_mean": float(np.sum(self.negative_terms) / n),
-            "L_Label": float(self.label_loss),
-            "L_SSLCL": float(self.sslcl_loss),
-            "L_CE": float(self.ce_loss),
-            "L_SupCon": float(self.supcon_term),
-            "L_Train": float(self.train_loss),
-            "floored_logs": int(self.floored_logs),
-        }
+        self.count = self.count + hit.reshape(np.shape(self.count) + (-1,)).sum(axis=-1)
 
 
 def safe_log(node: Tensor, counter: FloorCount | None = None,
@@ -233,30 +184,23 @@ def sample_weights(labels, gamma: float) -> np.ndarray:
 
 
 def sslcl_loss(ctx: SimilarityContext, view_mats: Sequence[Tensor], hp: HyperParams, *,
-               use_negative: bool = True, counter: FloorCount | None = None) -> tuple[Tensor, LossBreakdown]:
+               use_negative: bool = True, counter: FloorCount | None = None
+               ) -> tuple[Tensor, dict[str, np.ndarray]]:
     """Full weighted sample-label objective plus the label-label term.
 
-    Returns the scalar node and a breakdown filled in through sslcl_loss;
-    the caller completes ce/train. The label-label value is always
-    computed for the logs, its gradient contribution is scaled by the
-    configured weight (zero weight = the ablation arm).
+    Returns the objective node and its STEP_TERMS entries (one value, or one
+    per seed). The label-label value is always computed for the logs; its
+    gradient contribution is scaled by the configured weight (zero weight =
+    the ablation arm).
     """
-    counter = counter if counter is not None else FloorCount()
     pos, neg = batched_sample_losses(
         ctx, view_mats, hp, use_negative=use_negative, counter=counter)
-    weights = sample_weights(ctx.labels, hp.gamma)
-    weighted = ad.dot(Tensor(weights), ad.add(pos, neg))
+    weighted = ad.dot(Tensor(sample_weights(ctx.labels, hp.gamma)), ad.add(pos, neg))
     label_term = label_label_loss(ctx.label_embeddings, counter=counter)
     node = ad.add(weighted, ad.scale(label_term, hp.label_loss_weight))
-    breakdown = LossBreakdown(
-        positive_terms=np.array(pos.values),
-        negative_terms=np.array(neg.values),
-        sample_weights=weights,
-        label_loss=value_per_seed(label_term),
-        sslcl_loss=value_per_seed(node),
-        floored_logs=counter.count,
-    )
-    return node, breakdown
+    return node, {"l_pos_mean": pos.values.sum(axis=-1) / ctx.size,
+                  "l_neg_mean": neg.values.sum(axis=-1) / ctx.size,
+                  "L_Label": label_term.values, "L_SSLCL": node.values}
 
 
 def cross_entropy(probs: Tensor, labels, *, counter: FloorCount | None = None) -> Tensor:

@@ -27,8 +27,7 @@ from .data import (DatasetHeader, FeatureBatch, FeatureDataset, batch_iter, reco
                    stack_batches)
 from .encoder import FULL_MASK, MODALITY_SETTINGS, augmentation_views, classify, encode, init_encoder_params
 from .label_embedding import DEPTHS, embed_labels, init_label_params
-from .losses import (FloorCount, HyperParams, LossBreakdown, cross_entropy, sslcl_loss,
-                     supcon_loss, value_per_seed)
+from .losses import STEP_TERMS, FloorCount, HyperParams, cross_entropy, sslcl_loss, supcon_loss
 from .metrics import weighted_f1
 from .similarity import MEASURES, build_context, sim_matrix
 
@@ -225,11 +224,13 @@ class Adam:
 
 
 def compute_step_loss(config: RunConfig, leaves: dict[str, Tensor],
-                      batch: FeatureBatch) -> tuple[Tensor, LossBreakdown]:
-    """One step's objective node and breakdown for the configured loss mode.
-    Stacked leaves and batch give one objective value per seed."""
+                      batch: FeatureBatch) -> tuple[Tensor, dict[str, np.ndarray]]:
+    """One step's objective node and its STEP_TERMS values for the configured
+    loss mode; a term the mode does not compute is 0. A plain batch gives
+    each term shape (), a stacked one shape (S,): one value per seed."""
     stack = batch.labels.shape[:-1]
-    counter = FloorCount(np.zeros(stack, dtype=np.intp) if stack else 0)
+    counter = FloorCount(np.zeros(stack, dtype=np.intp))
+    terms = dict.fromkeys(STEP_TERMS, np.zeros(stack))
     feats = encode(batch, FULL_MASK, leaves)
     probs = classify(feats, leaves)
     ce = cross_entropy(probs, batch.labels, counter=counter)
@@ -239,20 +240,18 @@ def compute_step_loss(config: RunConfig, leaves: dict[str, Tensor],
         views = [encode(batch, mask, leaves) for mask in masks]
         table = embed_labels(leaves, config.le_depth)
         ctx = build_context(feats, table, batch.labels, config.measure)
-        node, breakdown = sslcl_loss(
+        node, sslcl_terms = sslcl_loss(
             ctx, views, config.hp, use_negative=config.use_negative_loss, counter=counter)
+        terms.update(sslcl_terms)
         total = ad.add(node, ad.scale(ce, config.hp.ce_weight))
     elif config.loss_mode == "supcon":
         contrast = supcon_loss(feats, batch.labels, config.hp.supcon_temperature)
+        terms["L_SupCon"] = contrast.values
         total = ad.add(contrast, ad.scale(ce, config.hp.ce_weight))
-        breakdown = LossBreakdown(supcon_term=value_per_seed(contrast))
     else:
         total = ce
-        breakdown = LossBreakdown()
-    breakdown.ce_loss = value_per_seed(ce)
-    breakdown.train_loss = value_per_seed(total)
-    breakdown.floored_logs = counter.count
-    return total, breakdown
+    terms.update(L_CE=ce.values, L_Train=total.values, floored_logs=counter.count)
+    return total, terms
 
 
 def predict(store: ParameterStore, header: DatasetHeader, records, config: RunConfig) -> np.ndarray:
@@ -299,6 +298,7 @@ def train_seeds(config: RunConfig, dataset: FeatureDataset, *,
     """Train each seed of config.seeds, byte-identically to a run of it alone:
     one seed runs the plain loop, several one stacked run in lockstep (each
     seed keeps its own batch order, and all share the batch sizes)."""
+    ad.keep_freed_memory()
     seeds = list(config.seeds)
     stacked = len(seeds) > 1
     if len(dataset) == 0:
@@ -317,7 +317,7 @@ def train_seeds(config: RunConfig, dataset: FeatureDataset, *,
             tape = Tape()
             leaves = store.leaves(tape)
             try:
-                total, breakdown = compute_step_loss(
+                total, terms = compute_step_loss(
                     config, leaves, stack_batches(batches) if stacked else batches[0])
                 grads = tape.gradients(total, stacked)
             except ad.NonFiniteError as err:
@@ -331,7 +331,9 @@ def train_seeds(config: RunConfig, dataset: FeatureDataset, *,
             opt_encoder.step(store, grads)
             opt_label.step(store, grads)
             for index in range(len(seeds)):
-                record = (breakdown.seed(index) if stacked else breakdown).step_record(step, epoch)
+                record = {"step": step, "epoch": epoch}
+                record.update((name, np.atleast_1d(terms[name])[index].item())
+                              for name in STEP_TERMS)
                 lines[index].append(json.dumps(record))
                 last_records[index] = record
             step += 1

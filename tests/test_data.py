@@ -8,6 +8,9 @@ from sslcl.data import (FeatureDataset, SyntheticSpec, batch_iter, class_counts,
                         records_to_batch, save_jsonl, split_dataset)
 from sslcl.losses import sample_weights
 
+# A record field that `_feature_file` leaves out.
+_ABSENT = object()
+
 
 class TestClassCounts:
     def test_even_split(self):
@@ -106,26 +109,31 @@ class TestJsonlRoundTrip:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("text", [[1.0, 2.0, 3.0], [1, 2, 3], [1e308, 1e308, -1e308]],
-                             ids=["floats", "ints", "overflowing-sum"])
-    def test_conforming_row_parses(self, tmp_path, text):
-        # The last vector's sum overflows, yet every entry is finite.
-        loaded = load_features(_feature_file(tmp_path / "ok.jsonl", t=text))
+    @pytest.mark.parametrize("record", [
+        {"t": [1.0, 2.0, 3.0]}, {"t": [1, 2, 3]}, {"t": [1e308, 1e308, -1e308]},
+        {"id": "true"}, {"id": 12}],
+        ids=["floats", "ints", "overflowing-sum", "id-true-string", "id-int"])
+    def test_conforming_row_parses(self, tmp_path, record):
+        # The third vector's sum overflows, yet every entry is finite; a
+        # "true" outside a vector only turns on the per-entry bool test.
+        loaded = load_features(_feature_file(tmp_path / "ok.jsonl", **record))
+        assert loaded.records[0].id == str(record.get("id", "u7"))
         assert loaded.records[0].label == 4
         assert loaded.records[0].audio is None
-        np.testing.assert_array_equal(loaded.records[0].text, np.array(text, dtype=np.float64))
+        np.testing.assert_array_equal(loaded.records[0].text, record.get("t", [1.0, 2.0, 3.0]))
 
     @pytest.mark.parametrize("key,value", [
         ("t", [1.0, 2.0, 3.0, 4.0]), ("t", 5), ("a", {"x": 1}), ("v", [0.5, None]),
         ("t", [1.0, float("nan"), 3.0]), ("v", [float("inf"), 0.5]), ("a", [1.0, [2.0]]),
-        ("t", "abc"), ("t", [1.0, 2.0, 10 ** 400])],
-        ids=["dimension", "scalar", "object", "null", "nan", "inf", "nested", "string", "huge-int"])
+        ("t", "abc"), ("t", [1.0, 2.0, 10 ** 400]), ("t", [True, 2.0, 3.0]), ("a", [False, 1.0])],
+        ids=["dimension", "scalar", "object", "null", "nan", "inf", "nested", "string", "huge-int",
+             "true", "false"])
     def test_malformed_vector_names_record_and_field(self, tmp_path, key, value):
         with pytest.raises(ValueError, match=f"^record u7: field '{key}' must list "):
             load_features(_feature_file(tmp_path / "bad.jsonl", **{key: value}))
 
-    @pytest.mark.parametrize("label", [9, -1, 1.7, True, "3", None],
-                             ids=["9", "-1", "1.7", "true", "string", "null"])
+    @pytest.mark.parametrize("label", [9, -1, 1.7, True, "3", None, _ABSENT],
+                             ids=["9", "-1", "1.7", "true", "string", "null", "absent"])
     def test_unknown_label_rejected(self, tmp_path, label):
         with pytest.raises(ValueError, match="^record u7: field 'label' must be an integer"):
             load_features(_feature_file(tmp_path / "bad2.jsonl", label=label))
@@ -140,19 +148,35 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError, match=match):
             load_features(_feature_file(tmp_path / "bad4.jsonl", header=header))
 
+    @pytest.mark.parametrize("record,match", [
+        ({"id": None}, "line 2: field 'id' must be a string or an integer, got None"),
+        ({"id": True}, "line 2: field 'id' must be a string or an integer, got True"),
+        ({"id": 1.5}, "line 2: field 'id' must be a string or an integer, got 1.5"),
+        ({"id": _ABSENT}, "line 2: field 'id' must be a string or an integer, it is absent"),
+        ({"dialogue_id": _ABSENT}, "line 2: field 'dialogue_id' must be a string or an integer, "
+                                   "it is absent"),
+        ({"speaker_id": ["s1"]}, "line 2: field 'speaker_id' must be a string or an integer"),
+        ({"copies": 2}, "line 3: field 'id' repeats record u7 of line 2")],
+        ids=["id-null", "id-true", "id-float", "id-absent", "dialogue-absent", "speaker-list",
+             "id-repeated"])
+    def test_malformed_record_id_names_line_and_field(self, tmp_path, record, match):
+        with pytest.raises(ValueError, match=match):
+            load_features(_feature_file(tmp_path / "bad5.jsonl", **record))
+
     def test_absent_text_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="text"):
             load_features(_feature_file(tmp_path / "bad3.jsonl", t=None, a=[1.0, 1.0]))
 
 
-def _feature_file(path, header=None, **record):
-    """A one-record feature file: a conforming header and record, with the
-    given header keys and record fields replaced."""
+def _feature_file(path, header=None, copies=1, **record):
+    """A feature file of `copies` equal records: a conforming header and
+    record, with the given header keys and record fields replaced."""
     head = {"d_t": 3, "d_a": 2, "d_v": 2, "K": 6, "label_names": list("abcdef")}
     row = {"id": "u7", "dialogue_id": "d1", "speaker_id": "s1", "label": 4,
            "t": [1.0, 2.0, 3.0], "a": None, "v": [0.5, 0.5]}
+    row = {key: value for key, value in {**row, **record}.items() if value is not _ABSENT}
     path.write_text(json.dumps({**head, **(header or {})}) + "\n"
-                    + json.dumps({**row, **record}) + "\n")
+                    + (json.dumps(row) + "\n") * copies)
     return path
 
 

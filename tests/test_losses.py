@@ -184,15 +184,21 @@ class TestSampleWeights:
 
 class TestSslclLoss:
     def test_breakdown_is_exactly_assembled(self):
+        # The objective node and its logged terms, rebuilt from their pieces.
         rng = np.random.default_rng(46)
         feats, table, labels, views = _instance(rng, n=5, k=3, d=3, n_views=3)
         ctx = _ctx(feats, table, labels)
         hp = HyperParams()
-        node, breakdown = sslcl_loss(ctx, [Tensor(v) for v in views], hp)
-        assembled = float(np.dot(breakdown.sample_weights,
-                                 breakdown.positive_terms + breakdown.negative_terms)
-                          + hp.label_loss_weight * breakdown.label_loss)
-        assert breakdown.sslcl_loss == assembled == node.item()
+        view_mats = [Tensor(v) for v in views]
+        node, terms = sslcl_loss(ctx, view_mats, hp)
+        pos, neg = batched_sample_losses(ctx, view_mats, hp)
+        label_loss = label_label_loss(ctx.label_embeddings).item()
+        assembled = float(np.dot(sample_weights(labels, hp.gamma), pos.values + neg.values)
+                          + hp.label_loss_weight * label_loss)
+        assert terms["L_SSLCL"] == assembled == node.item()
+        assert terms["L_Label"] == label_loss
+        assert terms["l_pos_mean"] == np.sum(pos.values) / 5
+        assert terms["l_neg_mean"] == np.sum(neg.values) / 5
 
     def test_negative_term_can_be_dropped(self):
         rng = np.random.default_rng(48)
@@ -207,10 +213,12 @@ class TestSslclLoss:
         for _ in range(20):
             feats, table, labels, views = _instance(rng, n_views=3)
             ctx = _ctx(feats, table, labels)
-            node, breakdown = sslcl_loss(ctx, [Tensor(v) for v in views], hp)
-            assert np.all(breakdown.positive_terms >= 0)
-            assert np.all(breakdown.negative_terms >= 0)
-            assert breakdown.label_loss >= 0
+            view_mats = [Tensor(v) for v in views]
+            node, terms = sslcl_loss(ctx, view_mats, hp)
+            pos, neg = batched_sample_losses(ctx, view_mats, hp)
+            assert np.all(pos.values >= 0)
+            assert np.all(neg.values >= 0)
+            assert all(value >= 0 for value in terms.values())
             assert node.item() >= 0
 
 
@@ -241,34 +249,36 @@ class TestCrossEntropy:
         assert np.isfinite(value.item())
 
 
-def _step_breakdown(**config_kwargs):
-    """Breakdown of one compute_step_loss call on a meld-like batch of 8."""
+def _step_terms(**config_kwargs):
+    """STEP_TERMS values, as floats, of one compute_step_loss call on a
+    meld-like batch of 8."""
     dataset = generate_synthetic(preset_spec("meld-like", 60, seed=3))
     batch = next(batch_iter(dataset, 8, seed=0))
     config = RunConfig(**config_kwargs)
     store = init_params(dataset.header, config, np.random.default_rng(0))
-    return compute_step_loss(config, store.constants(), batch)[1]
+    _, terms = compute_step_loss(config, store.constants(), batch)
+    return {name: float(value) for name, value in terms.items()}
 
 
 class TestTotalLoss:
     """L_Train = L_SSLCL + ce_weight * L_CE, as the trainer assembles it."""
 
     def test_ce_weight_zero(self):
-        breakdown = _step_breakdown(hp=HyperParams(ce_weight=1e-300))  # stays positive
-        assert breakdown.ce_loss > 0
-        assert breakdown.train_loss == breakdown.sslcl_loss
+        terms = _step_terms(hp=HyperParams(ce_weight=1e-300))  # stays positive
+        assert terms["L_CE"] > 0
+        assert terms["L_Train"] == terms["L_SSLCL"]
 
     def test_pure_ce(self):
-        breakdown = _step_breakdown(loss_mode="ce-only")
-        assert breakdown.sslcl_loss == 0.0
-        assert breakdown.train_loss == breakdown.ce_loss > 0
+        terms = _step_terms(loss_mode="ce-only")
+        assert terms["L_SSLCL"] == 0.0
+        assert terms["L_Train"] == terms["L_CE"] > 0
 
     def test_linear_in_ce_weight(self):
         parts = set()
         for eta in (0.5, 1.0, 2.0):
-            breakdown = _step_breakdown(hp=HyperParams(ce_weight=eta))
-            assert breakdown.train_loss == breakdown.sslcl_loss + eta * breakdown.ce_loss
-            parts.add((breakdown.sslcl_loss, breakdown.ce_loss))
+            terms = _step_terms(hp=HyperParams(ce_weight=eta))
+            assert terms["L_Train"] == terms["L_SSLCL"] + eta * terms["L_CE"]
+            parts.add((terms["L_SSLCL"], terms["L_CE"]))
         # The weight scales the cross entropy only; neither term moves with it.
         assert len(parts) == 1
 

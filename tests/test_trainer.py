@@ -11,11 +11,12 @@ from sslcl.cli import main
 from sslcl.data import (FeatureDataset, batch_iter, generate_synthetic, preset_spec, save_jsonl,
                         split_dataset, stack_batches)
 from sslcl.evaluation import ablation_arms, train_and_score, train_and_score_seeds
-from sslcl.losses import HyperParams
-from sslcl.trainer import (FLAT_KEYS, Adam, ConfigError, NonFiniteLossError, ParameterStore,
-                           RunConfig, TrainResult, compute_step_loss, config_from_flat,
-                           config_to_flat, gradcheck, init_params, load_checkpoint, predict,
-                           save_checkpoint, score, train, train_seeds, write_metrics_log)
+from sslcl.losses import STEP_TERMS, HyperParams
+from sslcl.trainer import (FLAT_KEYS, LOSS_MODES, Adam, ConfigError, NonFiniteLossError,
+                           ParameterStore, RunConfig, TrainResult, compute_step_loss,
+                           config_from_flat, config_to_flat, gradcheck, init_params,
+                           load_checkpoint, predict, save_checkpoint, score, train, train_seeds,
+                           write_metrics_log)
 
 
 class TestAdam:
@@ -236,13 +237,15 @@ class TestTrain:
                 assert np.any(result.store.arrays[name] != before.arrays[name])
 
     def test_step_records_have_schema_keys(self, tiny_dataset):
-        result = train(_tiny_config(), tiny_dataset, seed=0)
-        step = json.loads(result.metrics_lines[0])
-        for key in ("step", "epoch", "l_pos_mean", "l_neg_mean", "L_Label",
-                    "L_SSLCL", "L_CE", "L_Train", "floored_logs"):
-            assert key in step
-        epoch = json.loads(result.metrics_lines[-1])
-        assert set(epoch) == {"epoch", "train_wf1", "eval_wf1"}
+        # STEP_TERMS is the one definition of the step record, in every mode.
+        for loss_mode in LOSS_MODES:
+            result = train(_tiny_config(loss_mode=loss_mode), tiny_dataset, seed=0)
+            step = json.loads(result.metrics_lines[0])
+            assert list(step) == ["step", "epoch", *STEP_TERMS]
+            assert type(step["floored_logs"]) is int
+            assert all(type(step[name]) is float for name in STEP_TERMS[:-1])
+            epoch = json.loads(result.metrics_lines[-1])
+            assert set(epoch) == {"epoch", "train_wf1", "eval_wf1"}
 
     def test_ce_only_learns_separable_data(self, separable_two_class):
         config = RunConfig(loss_mode="ce-only", epochs=50, batch_size=16, seeds=(0,),
@@ -466,6 +469,14 @@ def one_row_tail_dataset():
     return dataset
 
 
+def _first_steps(config, dataset, size):
+    """Each seed's first batch of the given size and initial parameters."""
+    batches = [next(batch_iter(dataset, size, seed=[seed, 0])) for seed in config.seeds]
+    stores = [init_params(dataset.header, config, np.random.default_rng(seed))
+              for seed in config.seeds]
+    return batches, stores
+
+
 class TestStackedTraining:
     """Three seeds trained as one stacked run against three serial runs: the
     one-seed `train`, which runs the plain loop, is the reference."""
@@ -511,14 +522,28 @@ class TestStackedTraining:
                           for seed in config.seeds]
 
     @pytest.mark.parametrize("arm", list(_stacked_arms()))
+    def test_step_terms_have_the_stack_shape(self, arm, one_row_tail_dataset):
+        # Every STEP_TERMS entry has shape () from a plain batch and (S,) from
+        # a stacked one, and each seed's slice equals its serial value.
+        config = _stacked_arms()[arm]
+        for size in (8, 1):
+            batches, stores = _first_steps(config, one_row_tail_dataset, size)
+            serial = [compute_step_loss(config, store.constants(), batch)[1]
+                      for store, batch in zip(stores, batches)]
+            _, stacked = compute_step_loss(config, ParameterStore.stack(stores).constants(),
+                                           stack_batches(batches))
+            for terms in serial + [stacked]:
+                assert list(terms) == list(STEP_TERMS)
+            for name in STEP_TERMS:
+                assert [np.shape(terms[name]) for terms in serial] == [()] * 3
+                assert np.shape(stacked[name]) == (3,)
+                np.testing.assert_array_equal(stacked[name], [terms[name] for terms in serial])
+
+    @pytest.mark.parametrize("arm", list(_stacked_arms()))
     def test_stacked_step_records_the_serial_op_count(self, arm, one_row_tail_dataset):
         config = _stacked_arms()[arm]
-        header = one_row_tail_dataset.header
         for size in (8, 1):
-            batches = [next(batch_iter(one_row_tail_dataset, size, seed=[seed, 0]))
-                       for seed in config.seeds]
-            stores = [init_params(header, config, np.random.default_rng(seed))
-                      for seed in config.seeds]
+            batches, stores = _first_steps(config, one_row_tail_dataset, size)
             counts = []
             for store, batch in zip(stores, batches):
                 tape = Tape()
