@@ -8,7 +8,7 @@ denominator collapses to its own positive), so that arm falls back to
 whatever cross entropy alone can do; the sample-label objective keeps its
 label-anchored positives at every size.
 
-Reduced scale so it finishes in about two minutes; the acceptance suite
+Reduced scale so it finishes in about 20 seconds; the acceptance suite
 runs the full protocol. The line plot is written to the working directory.
 """
 
@@ -21,7 +21,7 @@ dataset = generate_synthetic(preset_spec("meld-like", 800, seed=0))
 config = RunConfig(batch_size=32, epochs=60, encoder_lr=3e-3, hidden_dim=16,
                    feature_dim=8, seeds=(0, 1), hp=HyperParams(gamma=0.1))
 sweep = batch_size_sweep(config, dataset, sizes=(2, 8, 32),
-                         modes=("sslcl", "supcon", "ce-only"), equalize_steps=True)
+                         modes=("sslcl", "supcon", "ce-only"))
 print(sweep_summary(sweep))
 
 with open("sslcl_demo_sweep.svg", "w", encoding="utf-8") as fh:

@@ -5,7 +5,7 @@ measure, drop the augmented views, drop the negative sample-label term,
 zero the label-label weight, or change the label-network depth. Arms that
 canonicalize to the same config share a single training run.
 
-Reduced scale (n=600, 2 seeds) so it finishes in about two minutes; the
+Reduced scale (n=600, 2 seeds) so it finishes in about 15 seconds; the
 acceptance suite runs the full five-seed version.
 """
 

@@ -21,10 +21,10 @@ from ._files import write_text
 from .data import (PRESETS, SyntheticSpec, generate_synthetic, load_features, preset_spec,
                    save_jsonl, split_dataset)
 from .evaluation import (DEFAULT_SWEEP_SIZES, SWEEP_MODES, ablation_suite, batch_size_sweep,
-                         write_ablation_report, write_sweep_report)
-from .trainer import (ConfigError, NonFiniteLossError, ParameterStore, RunConfig,
-                      config_from_flat, config_to_flat, gradcheck, init_params, load_checkpoint,
-                      save_checkpoint, score, train_seeds, write_metrics_log)
+                         train_and_score_seeds, write_ablation_report, write_sweep_report)
+from .trainer import (ConfigError, NonFiniteLossError, RunConfig, config_from_flat,
+                      config_to_flat, gradcheck, init_params, load_checkpoint, save_checkpoint,
+                      score, write_metrics_log)
 
 SEED_ENV_VAR = "SSLCL_SEED"
 JOBS_HELP = ("worker processes (at least 1); results are byte-identical to --jobs 1, "
@@ -84,9 +84,7 @@ def _cmd_train(args) -> int:
     dataset = _require_data(data_path)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    splits = split_dataset(dataset, config.split_seed)
-    results = train_seeds(config, splits.train, eval_dataset=splits.val)
-    scores = score(ParameterStore.stack([r.store for r in results]), splits.test, config)
+    results, scores = train_and_score_seeds(config, dataset)
     for seed, result, (wf1, _) in zip(config.seeds, results, scores):
         write_metrics_log(out_dir / f"metrics_seed{seed}.jsonl", config, result)
         save_checkpoint(out_dir / f"checkpoint_seed{seed}.json", result.store, config)
@@ -135,8 +133,7 @@ def _cmd_sweep_batch(args) -> int:
     dataset = _require_data(data_path)
     sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else DEFAULT_SWEEP_SIZES
     modes = tuple(args.modes.split(",")) if args.modes else SWEEP_MODES
-    sweep = batch_size_sweep(config, dataset, sizes=sizes, modes=modes, jobs=args.jobs,
-                             equalize_steps=not args.no_equalize_steps)
+    sweep = batch_size_sweep(config, dataset, sizes=sizes, modes=modes, jobs=args.jobs)
     out = Path(args.out)
     write_sweep_report(out, sweep, dataset.header.num_labels, svg=args.svg)
     write_text(out / "base_config.json", json.dumps(config_to_flat(config), indent=2))
@@ -197,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--modes", default=None, help="comma-separated loss modes")
     sw.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     sw.add_argument("--svg", action="store_true", help="also emit a line plot")
-    sw.add_argument("--no-equalize-steps", action="store_true",
-                    help="keep epochs fixed across sizes instead of the step budget")
     sw.set_defaults(func=_cmd_sweep_batch)
 
     ab = sub.add_parser("ablate", help="similarity/component/depth ablations")

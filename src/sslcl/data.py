@@ -211,6 +211,14 @@ def _feature_vector(raw, dim: int, rec_id, key: str, bools: bool) -> np.ndarray:
     return np.asarray(raw, dtype=np.float64)
 
 
+def _json_line(path, lineno: int, line: str):
+    """One line's JSON value; a syntax error raises naming the file's line and column."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path} line {lineno} column {err.pos + 1}: {err.msg}") from err
+
+
 def load_features(path) -> FeatureDataset:
     """Parse a JSONL feature file, checking the header and every record; a
     malformed value raises ValueError naming its record (or line) and field.
@@ -219,7 +227,7 @@ def load_features(path) -> FeatureDataset:
         header_line = fh.readline()
         if not header_line.strip():
             raise ValueError(f"{path}: missing header line")
-        raw = json.loads(header_line)
+        raw = _json_line(path, 1, header_line)
         if not isinstance(raw, dict) or any(type(raw.get(k)) is not int or raw[k] < 1
                                             for k in ("d_t", "d_a", "d_v", "K")):
             raise ValueError(f"{path}: the header must give d_t, d_a, d_v and K as positive "
@@ -235,7 +243,7 @@ def load_features(path) -> FeatureDataset:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            obj = json.loads(line)
+            obj = _json_line(path, lineno, line)
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: a record line must be a JSON object, got {line:.60}")
             for key in ("id", "dialogue_id", "speaker_id"):
@@ -270,7 +278,6 @@ class FeatureBatch:
     exactly the fusion-input imputation the encoder applies anyway. A
     stacked batch holds one batch per seed along a leading axis."""
 
-    ids: list
     text: np.ndarray
     audio: np.ndarray
     visual: np.ndarray
@@ -294,14 +301,12 @@ def records_to_batch(header: DatasetHeader, records: Sequence[UtteranceRecord]) 
         if rec.visual is not None:
             visual[i] = rec.visual
         labels[i] = rec.label
-    return FeatureBatch(
-        ids=[rec.id for rec in records], text=text, audio=audio, visual=visual, labels=labels)
+    return FeatureBatch(text=text, audio=audio, visual=visual, labels=labels)
 
 
 def stack_batches(batches: Sequence[FeatureBatch]) -> FeatureBatch:
     """One stacked batch from same-size batches, one per seed."""
-    return FeatureBatch(ids=[b.ids for b in batches],
-                        text=np.stack([b.text for b in batches]),
+    return FeatureBatch(text=np.stack([b.text for b in batches]),
                         audio=np.stack([b.audio for b in batches]),
                         visual=np.stack([b.visual for b in batches]),
                         labels=np.stack([b.labels for b in batches]))

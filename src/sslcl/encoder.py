@@ -25,15 +25,16 @@ MODALITY_SETTINGS = ("trimodal", "bimodal", "text-only")
 
 @dataclass(frozen=True)
 class ModalityMask:
-    use_text: bool = True
+    """Which of the non-text modalities a view keeps; text is always kept."""
+
     use_audio: bool = True
     use_visual: bool = True
 
 
-FULL_MASK = ModalityMask(True, True, True)
-TEXT_ONLY = ModalityMask(True, False, False)
-TEXT_AUDIO = ModalityMask(True, True, False)
-TEXT_VISUAL = ModalityMask(True, False, True)
+FULL_MASK = ModalityMask(True, True)
+TEXT_ONLY = ModalityMask(False, False)
+TEXT_AUDIO = ModalityMask(True, False)
+TEXT_VISUAL = ModalityMask(False, True)
 
 
 def augmentation_views(modality_setting: str) -> list[ModalityMask]:
@@ -79,8 +80,6 @@ def init_encoder_params(header: DatasetHeader, hidden_dim: int, feature_dim: int
 
 def encode(batch: FeatureBatch, mask: ModalityMask, params: dict[str, Tensor]) -> Tensor:
     """L2-normalized penultimate sample features (N x d) under the mask."""
-    if not mask.use_text:
-        raise ValueError("text features absent: every view keeps the textual modality")
     audio = batch.audio if mask.use_audio else np.zeros_like(batch.audio)
     visual = batch.visual if mask.use_visual else np.zeros_like(batch.visual)
     hid_t = ad.relu(ad.matmul(Tensor(batch.text), ad.transpose(params["enc.text_proj"])))

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._files import write_text
 from .data import FeatureDataset, split_dataset
-from .trainer import ParameterStore, RunConfig, config_to_flat, score, train_seeds
+from .trainer import ParameterStore, RunConfig, TrainResult, config_to_flat, score, train_seeds
 
 DEFAULT_SWEEP_SIZES = (1, 2, 4, 8, 16, 32)
 SWEEP_MODES = ("sslcl", "supcon", "ce-only")
@@ -37,15 +37,17 @@ def config_hash(config: RunConfig) -> str:
 def train_and_score(config: RunConfig, dataset: FeatureDataset, seed: int) -> tuple[float, list[float]]:
     """Train the one seed `seed` (config.seeds is ignored) in the plain loop
     and score it as train_and_score_seeds does: (weighted F1, per-class F1)."""
-    return train_and_score_seeds(replace(config, seeds=(seed,)), dataset)[0]
+    return train_and_score_seeds(replace(config, seeds=(seed,)), dataset)[1][0]
 
 
-def train_and_score_seeds(config: RunConfig, dataset: FeatureDataset) -> list[tuple[float, list[float]]]:
-    """Train every seed of config.seeds on the fixed 70/15/15 split and score
-    (weighted F1, per-class F1) on test, one entry per seed."""
+def train_and_score_seeds(config: RunConfig, dataset: FeatureDataset
+                          ) -> tuple[list[TrainResult], list[tuple[float, list[float]]]]:
+    """The run protocol: train every seed of config.seeds on the fixed
+    70/15/15 split, with val as the per-epoch eval split, and score test.
+    Returns each seed's TrainResult and its (weighted F1, per-class F1)."""
     splits = split_dataset(dataset, config.split_seed)
     results = train_seeds(config, splits.train, eval_dataset=splits.val)
-    return score(ParameterStore.stack([r.store for r in results]), splits.test, config)
+    return results, score(ParameterStore.stack([r.store for r in results]), splits.test, config)
 
 
 # The (configs, dataset) that `_run_config` reads, set for the duration of
@@ -54,8 +56,9 @@ _task_inputs: tuple[dict[str, RunConfig], FeatureDataset] | None = None
 
 
 def _run_config(key: str) -> list[tuple[float, list[float]]]:
+    """One task's test scores: all a pool worker sends back."""
     configs, dataset = _task_inputs
-    return train_and_score_seeds(configs[key], dataset)
+    return train_and_score_seeds(configs[key], dataset)[1]
 
 
 def _run_arms(arms: dict[str, RunConfig], dataset: FeatureDataset,
@@ -151,15 +154,14 @@ class SweepResult:
 
 def batch_size_sweep(config: RunConfig, dataset: FeatureDataset,
                      sizes: Sequence[int] = DEFAULT_SWEEP_SIZES,
-                     modes: Sequence[str] = SWEEP_MODES, jobs: int = 1,
-                     equalize_steps: bool = False) -> SweepResult:
+                     modes: Sequence[str] = SWEEP_MODES, jobs: int = 1) -> SweepResult:
     """Train every (loss mode, batch size, seed) cell on the same split.
 
-    equalize_steps=True holds the optimizer-step budget constant across
-    batch sizes by deriving each cell's epoch count from the base config;
-    without it, small-batch cells get far more updates per epoch, which
-    confounds batch-size effects with optimization budget (there is no
-    early stopping to absorb the difference). Sizes and modes must not repeat.
+    Each cell gets the base config's optimizer-step budget: its epochs are
+    the base steps over its own steps per epoch, at least 1. Fixed epochs
+    would give small-batch cells far more updates, confounding batch size
+    with optimization budget (no early stopping absorbs the difference).
+    Sizes and modes must not repeat.
     """
     for name, values in (("batch size", sizes), ("loss mode", modes)):
         if len(set(values)) != len(values):
@@ -169,8 +171,7 @@ def batch_size_sweep(config: RunConfig, dataset: FeatureDataset,
     arms = {}
     for mode in modes:
         for size in sizes:
-            epochs = (max(1, round(base_steps / np.ceil(n_train / size))) if equalize_steps
-                      else config.epochs)
+            epochs = max(1, round(base_steps / np.ceil(n_train / size)))
             arms[f"{mode}@bs{size}"] = replace(config, loss_mode=mode, batch_size=size,
                                                epochs=epochs)
     cells = _run_arms(arms, dataset, jobs)

@@ -1,7 +1,7 @@
 """Joint optimization of the encoder, classifier head and label network.
 
-One Adam instance owns the encoder and head, a second one owns the label
-network at its own (much smaller) learning rate; they never share state.
+One Adam steps every parameter: the encoder and head at `encoder_lr`, the
+label network at its own (much smaller) `label_net_lr`.
 Every run is a pure function of (config, dataset, seed): identical inputs
 reproduce byte-identical metrics logs and checkpoints.
 
@@ -100,7 +100,6 @@ class RunConfig:
 # on this order.
 _HP_FIELDS = {f"hp.{f.name}": f.type for f in fields(HyperParams)}
 _RUN_FIELDS = {f.name: f.type for f in fields(RunConfig) if f.name != "hp"}
-FLAT_KEYS = tuple(_HP_FIELDS) + tuple(_RUN_FIELDS)
 
 
 def config_to_flat(config: RunConfig) -> dict:
@@ -146,7 +145,7 @@ def param_group(name: str) -> str:
 
 
 class ParameterStore:
-    """Named float64 parameter arrays, updated in place by the optimizers.
+    """Named float64 parameter arrays, updated in place by the optimizer.
     A stacked store holds one slice per seed along a leading axis."""
 
     def __init__(self, arrays: dict[str, np.ndarray]):
@@ -166,14 +165,6 @@ class ParameterStore:
     def constants(self) -> dict[str, Tensor]:
         return {name: Tensor(arr) for name, arr in self.arrays.items()}
 
-    @property
-    def encoder_names(self) -> list[str]:
-        return [n for n in self.arrays if not n.startswith("label.")]
-
-    @property
-    def label_names(self) -> list[str]:
-        return [n for n in self.arrays if n.startswith("label.")]
-
 
 def init_params(header: DatasetHeader, config: RunConfig, rng: np.random.Generator) -> ParameterStore:
     arrays = init_encoder_params(header, config.hidden_dim, config.feature_dim, rng)
@@ -188,28 +179,23 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed set of parameter names, with the
-    fixed constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
+    """Bias-corrected Adam over a whole store, with the fixed constants
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPS; each parameter steps at its group's
+    rate, lrs[param_group(name)]. The update is elementwise, so the store runs
+    as one flat vector (store order) with a rate per element, sliced back per name."""
 
-    The update is elementwise, so the whole group runs as one flat vector
-    (parameters in `names` order) and is sliced back per name."""
-
-    def __init__(self, names: Sequence[str], lr: float):
-        self.names = list(names)
-        self.lr = lr
+    def __init__(self, store: ParameterStore, lrs: dict[str, float]):
+        self.names = list(store.arrays)
+        self.lr = np.concatenate([np.full(store.arrays[name].size, lrs[param_group(name)])
+                                  for name in self.names])
         self.step_count = 0
-        self._m: np.ndarray | None = None
-        self._v: np.ndarray | None = None
+        self._m = np.zeros_like(self.lr)
+        self._v = np.zeros_like(self.lr)
 
     def step(self, store: ParameterStore, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
         t = self.step_count
-        if not self.names:
-            return
         grad = np.concatenate([grads[name].ravel() for name in self.names])
-        if self._m is None:
-            self._m = np.zeros_like(grad)
-            self._v = np.zeros_like(grad)
         self._m = ADAM_BETA1 * self._m + (1.0 - ADAM_BETA1) * grad
         self._v = ADAM_BETA2 * self._v + (1.0 - ADAM_BETA2) * grad * grad
         m_hat = self._m / (1.0 - ADAM_BETA1 ** t)
@@ -305,8 +291,8 @@ def train_seeds(config: RunConfig, dataset: FeatureDataset, *,
         raise ValueError("cannot train on an empty dataset")
     stores = [init_params(dataset.header, config, np.random.default_rng(seed)) for seed in seeds]
     store = ParameterStore.stack(stores) if stacked else stores[0]
-    opt_encoder = Adam(store.encoder_names, config.encoder_lr)
-    opt_label = Adam(store.label_names, config.label_net_lr)
+    opt = Adam(store, {"encoder": config.encoder_lr, "head": config.encoder_lr,
+                       "label": config.label_net_lr})
     lines: list[list[str]] = [[] for _ in seeds]
     step = 0
     last_records: list[dict | None] = [None for _ in seeds]
@@ -328,8 +314,7 @@ def train_seeds(config: RunConfig, dataset: FeatureDataset, *,
                 who = f"seeds {seeds}" if index is None else f"seed {seeds[index]}"
                 raise NonFiniteLossError(
                     f"{who}: aborted at step {step} (epoch {epoch}): {err}{context}") from err
-            opt_encoder.step(store, grads)
-            opt_label.step(store, grads)
+            opt.step(store, grads)
             for index in range(len(seeds)):
                 record = {"step": step, "epoch": epoch}
                 record.update((name, np.atleast_1d(terms[name])[index].item())
@@ -439,7 +424,6 @@ def _random_instance(config: RunConfig, num_labels: int, rng: np.random.Generato
                            label_names=tuple(f"class{k}" for k in range(num_labels)))
     labels = rng.integers(0, num_labels, size=n)
     batch = FeatureBatch(
-        ids=[f"g{i}" for i in range(n)],
         text=rng.standard_normal((n, header.text_dim)),
         audio=rng.standard_normal((n, header.audio_dim)),
         visual=rng.standard_normal((n, header.visual_dim)),

@@ -140,7 +140,7 @@ def test_criterion_4_batch_size_stability(meld_dataset):
                        feature_dim=8, seeds=(0, 1, 2, 3, 4),
                        hp=HyperParams(gamma=0.1))
     sweep = batch_size_sweep(config, meld_dataset, sizes=(2, 32),
-                             modes=("sslcl", "supcon"), equalize_steps=True, jobs=2)
+                             modes=("sslcl", "supcon"), jobs=2)
     elapsed = time.time() - start
     deg_supcon = sweep.mean("supcon", 32) - sweep.mean("supcon", 2)
     deg_sslcl = sweep.mean("sslcl", 32) - sweep.mean("sslcl", 2)

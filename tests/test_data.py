@@ -142,8 +142,10 @@ class TestJsonlRoundTrip:
         ({"K": 6.9}, "K as positive integers"), ({"d_t": "3"}, "K as positive integers"),
         ({"d_a": 0}, "K as positive integers"), ({"d_v": None}, "K as positive integers"),
         ({"label_names": list("abcde")}, "'label_names' must list K=6 names"),
-        ({"label_names": "abcdef"}, "'label_names' must list K=6 names")],
-        ids=["K-float", "d_t-string", "d_a-zero", "d_v-null", "names-short", "names-string"])
+        ({"label_names": "abcdef"}, "'label_names' must list K=6 names"),
+        ('{"d_t": 3,, "d_a": 2}', "bad4.jsonl line 1 column 11: Expecting property name")],
+        ids=["K-float", "d_t-string", "d_a-zero", "d_v-null", "names-short", "names-string",
+             "json-syntax"])
     def test_malformed_header_rejected(self, tmp_path, header, match):
         with pytest.raises(ValueError, match=match):
             load_features(_feature_file(tmp_path / "bad4.jsonl", header=header))
@@ -156,9 +158,11 @@ class TestJsonlRoundTrip:
         ({"dialogue_id": _ABSENT}, "line 2: field 'dialogue_id' must be a string or an integer, "
                                    "it is absent"),
         ({"speaker_id": ["s1"]}, "line 2: field 'speaker_id' must be a string or an integer"),
-        ({"copies": 2}, "line 3: field 'id' repeats record u7 of line 2")],
+        ({"copies": 2}, "line 3: field 'id' repeats record u7 of line 2"),
+        ({"tail": '{"id":"u2", "label": 1,\n'},
+         "bad5.jsonl line 3 column 25: Expecting property name enclosed in double quotes$")],
         ids=["id-null", "id-true", "id-float", "id-absent", "dialogue-absent", "speaker-list",
-             "id-repeated"])
+             "id-repeated", "json-syntax"])
     def test_malformed_record_id_names_line_and_field(self, tmp_path, record, match):
         with pytest.raises(ValueError, match=match):
             load_features(_feature_file(tmp_path / "bad5.jsonl", **record))
@@ -168,15 +172,16 @@ class TestJsonlRoundTrip:
             load_features(_feature_file(tmp_path / "bad3.jsonl", t=None, a=[1.0, 1.0]))
 
 
-def _feature_file(path, header=None, copies=1, **record):
-    """A feature file of `copies` equal records: a conforming header and
-    record, with the given header keys and record fields replaced."""
+def _feature_file(path, header=None, copies=1, tail="", **record):
+    """A feature file of `copies` equal records, then the raw text `tail`: a
+    conforming header and record, with the given header keys and record
+    fields replaced. A string `header` is the raw header line."""
     head = {"d_t": 3, "d_a": 2, "d_v": 2, "K": 6, "label_names": list("abcdef")}
     row = {"id": "u7", "dialogue_id": "d1", "speaker_id": "s1", "label": 4,
            "t": [1.0, 2.0, 3.0], "a": None, "v": [0.5, 0.5]}
     row = {key: value for key, value in {**row, **record}.items() if value is not _ABSENT}
-    path.write_text(json.dumps({**head, **(header or {})}) + "\n"
-                    + (json.dumps(row) + "\n") * copies)
+    head_line = header if isinstance(header, str) else json.dumps({**head, **(header or {})})
+    path.write_text(head_line + "\n" + (json.dumps(row) + "\n") * copies + tail)
     return path
 
 
@@ -199,11 +204,11 @@ class TestBatchIter:
 
     def test_fixed_seed_replays_identically(self):
         dataset = generate_synthetic(preset_spec("iemocap-like", 30, seed=9))
-        first = [list(b.ids) for b in batch_iter(dataset, 7, seed=42)]
-        second = [list(b.ids) for b in batch_iter(dataset, 7, seed=42)]
-        assert first == second
-        third = [list(b.ids) for b in batch_iter(dataset, 7, seed=43)]
-        assert first != third
+        first = np.concatenate([b.text for b in batch_iter(dataset, 7, seed=42)])
+        second = np.concatenate([b.text for b in batch_iter(dataset, 7, seed=42)])
+        assert np.array_equal(first, second)
+        third = np.concatenate([b.text for b in batch_iter(dataset, 7, seed=43)])
+        assert not np.array_equal(first, third)
 
     def test_empty_dataset_rejected(self):
         empty = FeatureDataset(generate_synthetic(preset_spec("iemocap-like", 10, seed=0)).header, [])

@@ -21,13 +21,12 @@ def _constant_params(header, rng, hidden=4, feat=3):
 class TestAugmentationViews:
     def test_trimodal_gives_three_text_bearing_masks(self):
         views = augmentation_views("trimodal")
-        assert views == [ModalityMask(True, False, False),
-                         ModalityMask(True, True, False),
-                         ModalityMask(True, False, True)]
-        assert all(m.use_text for m in views)
+        assert views == [ModalityMask(False, False),
+                         ModalityMask(True, False),
+                         ModalityMask(False, True)]
 
     def test_bimodal_limits_to_text(self):
-        assert augmentation_views("bimodal") == [ModalityMask(True, False, False)]
+        assert augmentation_views("bimodal") == [ModalityMask(False, False)]
 
     def test_text_only_performs_no_augmentation(self):
         assert augmentation_views("text-only") == []
@@ -56,15 +55,9 @@ class TestEncode:
     def test_masking_a_live_modality_changes_features(self, small_batch):
         header, batch = small_batch
         params = _constant_params(header, np.random.default_rng(4))
-        masked = encode(batch, ModalityMask(True, True, False), params)
+        masked = encode(batch, ModalityMask(True, False), params)
         full = encode(batch, FULL_MASK, params)
         assert np.any(masked.values != full.values)
-
-    def test_dropping_text_rejected(self, small_batch):
-        header, batch = small_batch
-        params = _constant_params(header, np.random.default_rng(5))
-        with pytest.raises(ValueError, match="text"):
-            encode(batch, ModalityMask(False, True, True), params)
 
     def test_gradient_matches_finite_differences(self, small_batch):
         header, batch = small_batch

@@ -1,14 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
-from sslcl.data import generate_synthetic, preset_spec
+from sslcl.cli import main
+from sslcl.data import generate_synthetic, preset_spec, save_jsonl, split_dataset
 from sslcl.evaluation import (ablation_arms, ablation_suite, ablation_summary,
                               ablation_to_csv, batch_size_sweep, canonical_config_json,
                               sweep_svg, sweep_to_csv, train_and_score, write_ablation_report,
                               write_sweep_report)
 from sslcl.losses import HyperParams
 from sslcl.metrics import weighted_f1
-from sslcl.trainer import RunConfig, train
+from sslcl.trainer import RunConfig, config_to_flat, train
 
 from oracles import weighted_f1_bruteforce
 
@@ -62,9 +65,26 @@ class TestSweep:
     def test_single_cell_equals_plain_train_and_score(self, quick_dataset):
         config = _quick_config(seeds=(0,))
         sweep = batch_size_sweep(config, quick_dataset, sizes=(4,), modes=("sslcl",))
-        direct_cfg = _quick_config(seeds=(0,), batch_size=4, loss_mode="sslcl")
+        # The step budget: bs 16 for 2 epochs on 84 train rows is 12 steps,
+        # and bs 4 takes 21 steps an epoch, so the cell trains round(12/21) = 1.
+        assert len(split_dataset(quick_dataset, config.split_seed).train) == 84
+        direct_cfg = _quick_config(seeds=(0,), batch_size=4, loss_mode="sslcl", epochs=1)
         direct, _ = train_and_score(direct_cfg, quick_dataset, seed=0)
         assert sweep.mean("sslcl", 4) == direct
+
+    def test_library_and_cli_write_the_same_csv(self, quick_dataset, tmp_path):
+        # Both hold every cell to the base config's step budget.
+        config = _quick_config(seeds=(0,))
+        k = quick_dataset.header.num_labels
+        sweep = batch_size_sweep(config, quick_dataset, sizes=(4, 8), modes=("ce-only",))
+        write_sweep_report(tmp_path / "library", sweep, k)
+        save_jsonl(quick_dataset, tmp_path / "data.jsonl")
+        (tmp_path / "config.json").write_text(json.dumps(config_to_flat(config)))
+        assert main(["sweep-batch", "--data", str(tmp_path / "data.jsonl"),
+                     "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "cli"),
+                     "--sizes", "4,8", "--modes", "ce-only"]) == 0
+        assert ((tmp_path / "cli" / "sweep.csv").read_bytes()
+                == (tmp_path / "library" / "sweep.csv").read_bytes())
 
     @pytest.mark.parametrize("sizes,modes,name", [
         ((4, 8, 4), ("ce-only",), "batch size"), ((4,), ("ce-only", "sslcl", "ce-only"), "loss mode")],

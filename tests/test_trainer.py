@@ -12,69 +12,77 @@ from sslcl.data import (FeatureDataset, batch_iter, generate_synthetic, preset_s
                         split_dataset, stack_batches)
 from sslcl.evaluation import ablation_arms, train_and_score, train_and_score_seeds
 from sslcl.losses import STEP_TERMS, HyperParams
-from sslcl.trainer import (FLAT_KEYS, LOSS_MODES, Adam, ConfigError, NonFiniteLossError,
-                           ParameterStore, RunConfig, TrainResult, compute_step_loss,
-                           config_from_flat, config_to_flat, gradcheck, init_params,
-                           load_checkpoint, predict, save_checkpoint, score, train, train_seeds,
-                           write_metrics_log)
+from sslcl.trainer import (LOSS_MODES, Adam, ConfigError, NonFiniteLossError, ParameterStore,
+                           RunConfig, TrainResult, compute_step_loss, config_from_flat,
+                           config_to_flat, gradcheck, init_params, load_checkpoint, param_group,
+                           predict, save_checkpoint, score, train, train_seeds, write_metrics_log)
 
 
 class TestAdam:
     def test_matches_reference_recurrence_three_steps(self):
         # The reference uses the fixed constants the optimizer documents.
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        store = ParameterStore({"w": np.array([1.0])})
-        opt = Adam(["w"], lr)
+        store = ParameterStore({"enc.w": np.array([1.0])})
+        opt = Adam(store, {"encoder": lr})
         theta, m, v = 1.0, 0.0, 0.0
         for t in range(1, 4):
             grad = 0.3 * theta + 0.1  # deterministic pseudo-gradient of the reference
-            opt.step(store, {"w": np.array([0.3 * store.arrays["w"][0] + 0.1])})
+            opt.step(store, {"enc.w": np.array([0.3 * store.arrays["enc.w"][0] + 0.1])})
             m = b1 * m + (1 - b1) * grad
             v = b2 * v + (1 - b2) * grad * grad
             m_hat = m / (1 - b1 ** t)
             v_hat = v / (1 - b2 ** t)
             theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
-            assert abs(store.arrays["w"][0] - theta) < 1e-12
+            assert abs(store.arrays["enc.w"][0] - theta) < 1e-12
 
     def test_flat_group_update_matches_per_parameter_recurrence(self):
         # Two groups, each holding a matrix and a vector, at different rates;
         # the reference runs the recurrence on every parameter on its own.
         b1, b2, eps = 0.9, 0.999, 1e-8
         rng = np.random.default_rng(41)
-        groups = {0.1: ["w", "b"], 1e-3: ["label.w", "label.b"]}
-        start = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4),
+        lrs = {"encoder": 0.1, "label": 1e-3}
+        start = {"enc.w": rng.standard_normal((3, 4)), "enc.b": rng.standard_normal(4),
                  "label.w": rng.standard_normal((2, 5)), "label.b": rng.standard_normal(2)}
         store = ParameterStore({name: arr.copy() for name, arr in start.items()})
-        opts = [Adam(names, lr) for lr, names in groups.items()]
+        opt = Adam(store, lrs)
         ref = {name: (arr.copy(), np.zeros_like(arr), np.zeros_like(arr))
                for name, arr in start.items()}
-        lr_of = {name: lr for lr, names in groups.items() for name in names}
 
         def pseudo_grad(arr):
             return np.sin(3.0 * arr) + 0.1
 
         for t in range(1, 4):
-            grads = {name: pseudo_grad(arr) for name, arr in store.arrays.items()}
-            for opt in opts:
-                opt.step(store, grads)
+            opt.step(store, {name: pseudo_grad(arr) for name, arr in store.arrays.items()})
             for name, (theta, m, v) in ref.items():
                 grad = pseudo_grad(theta)
                 m = b1 * m + (1.0 - b1) * grad
                 v = b2 * v + (1.0 - b2) * grad * grad
                 m_hat = m / (1.0 - b1 ** t)
                 v_hat = v / (1.0 - b2 ** t)
-                theta = theta - lr_of[name] * m_hat / (np.sqrt(v_hat) + eps)
+                theta = theta - lrs[param_group(name)] * m_hat / (np.sqrt(v_hat) + eps)
                 ref[name] = (theta, m, v)
         for name, (theta, _, _) in ref.items():
             assert store.arrays[name].shape == start[name].shape
             assert np.array_equal(store.arrays[name], theta), name
 
-    def test_zero_gradient_leaves_parameter_unchanged(self):
-        store = ParameterStore({"w": np.array([2.5, -1.0])})
-        opt = Adam(["w"], 0.01)
+    def test_zero_rate_leaves_its_group_bit_equal(self):
+        rng = np.random.default_rng(42)
+        start = {"enc.w": rng.standard_normal((3, 2)), "head.b": rng.standard_normal(3),
+                 "label.w": rng.standard_normal((2, 4))}
+        store = ParameterStore({name: arr.copy() for name, arr in start.items()})
+        opt = Adam(store, {"encoder": 0.1, "head": 0.1, "label": 0.0})
         for _ in range(3):
-            opt.step(store, {"w": np.zeros(2)})
-        np.testing.assert_array_equal(store.arrays["w"], [2.5, -1.0])
+            opt.step(store, {name: np.cos(arr) for name, arr in store.arrays.items()})
+        assert np.array_equal(store.arrays["label.w"], start["label.w"])
+        for name in ("enc.w", "head.b"):
+            assert not np.any(store.arrays[name] == start[name]), name
+
+    def test_zero_gradient_leaves_parameter_unchanged(self):
+        store = ParameterStore({"enc.w": np.array([2.5, -1.0])})
+        opt = Adam(store, {"encoder": 0.01})
+        for _ in range(3):
+            opt.step(store, {"enc.w": np.zeros(2)})
+        np.testing.assert_array_equal(store.arrays["enc.w"], [2.5, -1.0])
 
 
 class TestConfigFlat:
@@ -107,12 +115,11 @@ class TestConfigFlat:
 
     def test_flat_key_order_is_pinned(self):
         # Artifact bytes and config hashes depend on this order.
-        assert FLAT_KEYS == (
+        assert tuple(config_to_flat(RunConfig())) == (
             "hp.alpha", "hp.beta", "hp.gamma", "hp.label_loss_weight", "hp.ce_weight",
             "hp.supcon_temperature", "measure", "le_depth", "loss_mode", "modality_setting",
             "batch_size", "epochs", "seeds", "encoder_lr", "label_net_lr", "augmentation",
             "use_negative_loss", "hidden_dim", "feature_dim", "predictor", "split_seed")
-        assert tuple(config_to_flat(RunConfig())) == FLAT_KEYS
 
     @pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2", "adam_eps",
                                      "le_hidden_dim", "label_embed_dim"])
@@ -350,7 +357,9 @@ class TestDivergence:
         # and no seed meets earlier (nor seed 0 at step 2): those seeds
         # diverge after their steps 0 and 1, and the abort names the first.
         config = _tiny_config()
-        orders = {seed: [batch.ids for batch in batch_iter(tiny_dataset, 8, seed=[seed, 0])]
+        id_of = {r.text.tobytes(): r.id for r in tiny_dataset.records}
+        orders = {seed: [[id_of[row.tobytes()] for row in batch.text]
+                         for batch in batch_iter(tiny_dataset, 8, seed=[seed, 0])]
                   for seed in (0, 1, 2)}
         early = {rid for seed in (0, 1, 2) for batch in orders[seed][:2] for rid in batch}
         early |= set(orders[0][2])
@@ -517,7 +526,8 @@ class TestStackedTraining:
             assert _sha(result.metrics_lines) == _sha(serial.metrics_lines)
             assert (_checkpoint_sha(tmp_path / "a.json", result.store, config)
                     == _checkpoint_sha(tmp_path / "b.json", serial.store, config))
-        scores = train_and_score_seeds(config, one_row_tail_dataset)
+        results, scores = train_and_score_seeds(config, one_row_tail_dataset)
+        assert [r.metrics_lines for r in results] == [r.metrics_lines for r in stacked]
         assert scores == [train_and_score(config, one_row_tail_dataset, seed)
                           for seed in config.seeds]
 
