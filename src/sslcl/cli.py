@@ -1,6 +1,9 @@
 """Command-line entry point: data generation, training, evaluation,
 gradient checking and the sweep/ablation experiments.
 
+Each input has one channel: the config file and `--set` give the config,
+`--data` the feature file. `evaluation` writes the report directories.
+
 Exit codes: 0 success, 1 config/usage validation error, 2 runtime failure.
 The effective config is echoed into every artifact a command writes.
 """
@@ -9,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import replace
@@ -17,16 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import write_text
 from .data import (PRESETS, SyntheticSpec, generate_synthetic, load_features, preset_spec,
                    save_jsonl, split_dataset)
-from .evaluation import (DEFAULT_SWEEP_SIZES, SWEEP_MODES, ablation_suite, batch_size_sweep,
-                         train_and_score_seeds, write_ablation_report, write_sweep_report)
-from .trainer import (ConfigError, NonFiniteLossError, RunConfig, config_from_flat,
-                      config_to_flat, gradcheck, init_params, load_checkpoint, save_checkpoint,
-                      score, write_metrics_log)
+from .evaluation import (DEFAULT_SWEEP_SIZES, SWEEP_MODES, ablation_suite, ablation_summary,
+                         batch_size_sweep, sweep_summary, train_and_score_seeds,
+                         write_ablation_report, write_sweep_report)
+from .trainer import (ConfigError, NonFiniteLossError, RunConfig, config_from_flat, gradcheck,
+                      init_params, load_checkpoint, save_checkpoint, score, write_metrics_log)
 
-SEED_ENV_VAR = "SSLCL_SEED"
 JOBS_HELP = ("worker processes (at least 1); results are byte-identical to --jobs 1, "
              "and each worker holds one copy of the dataset")
 
@@ -38,9 +38,8 @@ def _parse_set_value(raw: str):
         return raw
 
 
-def _build_config(args) -> tuple[RunConfig, str | None]:
-    """Defaults, then the config file, then --set overrides, then the env
-    seed override. Returns the config and an optional data path."""
+def _build_config(args) -> RunConfig:
+    """Defaults, then the config file, then --set overrides; all must be config keys."""
     flat: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -53,22 +52,7 @@ def _build_config(args) -> tuple[RunConfig, str | None]:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         flat[key.strip()] = _parse_set_value(raw)
-    data_path = flat.pop("data", None)
-    if getattr(args, "data", None):
-        data_path = args.data
-    env_seeds = os.environ.get(SEED_ENV_VAR)
-    if env_seeds:
-        try:
-            flat["seeds"] = [int(s) for s in env_seeds.split(",")]
-        except ValueError as err:
-            raise ConfigError(f"{SEED_ENV_VAR} must be comma-separated integers") from err
-    return config_from_flat(flat), data_path
-
-
-def _require_data(data_path: str | None):
-    if not data_path:
-        raise ConfigError("a dataset is required: pass --data or a 'data' config key")
-    return load_features(data_path)
+    return config_from_flat(flat)
 
 
 def _cmd_gen_data(args) -> int:
@@ -80,8 +64,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config, data_path = _build_config(args)
-    dataset = _require_data(data_path)
+    config = _build_config(args)
+    dataset = load_features(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results, scores = train_and_score_seeds(config, dataset)
@@ -122,33 +106,28 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    config, _ = _build_config(args)
-    report = gradcheck(config)
+    report = gradcheck(_build_config(args))
     print(report.summary())
     return 0 if report.passed else 2
 
 
 def _cmd_sweep_batch(args) -> int:
-    config, data_path = _build_config(args)
-    dataset = _require_data(data_path)
+    config = _build_config(args)
+    dataset = load_features(args.data)
     sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else DEFAULT_SWEEP_SIZES
     modes = tuple(args.modes.split(",")) if args.modes else SWEEP_MODES
     sweep = batch_size_sweep(config, dataset, sizes=sizes, modes=modes, jobs=args.jobs)
-    out = Path(args.out)
-    write_sweep_report(out, sweep, dataset.header.num_labels, svg=args.svg)
-    write_text(out / "base_config.json", json.dumps(config_to_flat(config), indent=2))
-    print((out / "summary.txt").read_text(encoding="utf-8"))
+    write_sweep_report(args.out, sweep, dataset.header.num_labels)
+    print(sweep_summary(sweep))
     return 0
 
 
 def _cmd_ablate(args) -> int:
-    config, data_path = _build_config(args)
-    dataset = _require_data(data_path)
+    config = _build_config(args)
+    dataset = load_features(args.data)
     report = ablation_suite(config, dataset, jobs=args.jobs)
-    out = Path(args.out)
-    write_ablation_report(out, report, dataset.header.num_labels)
-    write_text(out / "base_config.json", json.dumps(config_to_flat(config), indent=2))
-    print((out / "summary.txt").read_text(encoding="utf-8"))
+    write_ablation_report(args.out, report, dataset.header.num_labels)
+    print(ablation_summary(report))
     return 0
 
 
@@ -169,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key; repeatable")
         if with_data:
-            p.add_argument("--data", default=None, help="feature JSONL path")
+            p.add_argument("--data", required=True, help="feature JSONL path")
 
     tr = sub.add_parser("train", help="train on the fixed split and save artifacts")
     add_config_args(tr)
@@ -193,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--sizes", default=None, help="comma-separated batch sizes")
     sw.add_argument("--modes", default=None, help="comma-separated loss modes")
     sw.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    sw.add_argument("--svg", action="store_true", help="also emit a line plot")
     sw.set_defaults(func=_cmd_sweep_batch)
 
     ab = sub.add_parser("ablate", help="similarity/component/depth ablations")

@@ -197,7 +197,7 @@ def save_jsonl(dataset: FeatureDataset, path) -> None:
 _MODALITY_FIELDS = {"t": ("text", "d_t"), "a": ("audio", "d_a"), "v": ("visual", "d_v")}
 
 
-def _feature_vector(raw, dim: int, rec_id, key: str, bools: bool) -> np.ndarray:
+def _feature_vector(raw, dim: int, where: str, key: str, bools: bool) -> np.ndarray:
     """A JSON list of `dim` finite numbers as a float64 vector: the sum is checked
     first, each entry only if it is not finite or the line holds a JSON true/false."""
     try:
@@ -207,7 +207,7 @@ def _feature_vector(raw, dim: int, rec_id, key: str, bools: bool) -> np.ndarray:
     except (TypeError, OverflowError):  # a non-number, or an int beyond the float range
         ok = False
     if not ok:
-        raise ValueError(f"record {rec_id}: field {key!r} must list {dim} finite numbers, got {raw!r:.60}")
+        raise ValueError(f"{where}: field {key!r} must list {dim} finite numbers, got {raw!r:.60}")
     return np.asarray(raw, dtype=np.float64)
 
 
@@ -221,7 +221,7 @@ def _json_line(path, lineno: int, line: str):
 
 def load_features(path) -> FeatureDataset:
     """Parse a JSONL feature file, checking the header and every record; a
-    malformed value raises ValueError naming its record (or line) and field.
+    malformed value raises ValueError naming the file, its line and field.
     Record ids are strings or integers, unique in the file."""
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -244,27 +244,29 @@ def load_features(path) -> FeatureDataset:
             if not line.strip():
                 continue
             obj = _json_line(path, lineno, line)
+            where = f"{path} line {lineno}"
             if not isinstance(obj, dict):
-                raise ValueError(f"{path}: a record line must be a JSON object, got {line:.60}")
+                raise ValueError(f"{where}: a record line must be a JSON object, "
+                                 f"got {line.strip():.60}")
             for key in ("id", "dialogue_id", "speaker_id"):
                 if type(obj.get(key)) not in (str, int):
                     got = f"got {obj[key]!r:.60}" if key in obj else "it is absent"
-                    raise ValueError(f"{path} line {lineno}: field {key!r} must be a string "
-                                     f"or an integer, {got}")
+                    raise ValueError(f"{where}: field {key!r} must be a string or an "
+                                     f"integer, {got}")
             rec_id = str(obj["id"])
             if rec_id in id_lines:
-                raise ValueError(f"{path} line {lineno}: field 'id' repeats record {rec_id} "
+                raise ValueError(f"{where}: field 'id' repeats record {rec_id} "
                                  f"of line {id_lines[rec_id]}")
             id_lines[rec_id] = lineno
             label = obj.get("label")
             if type(label) is not int or not 0 <= label < header.num_labels:
-                raise ValueError(f"record {rec_id}: field 'label' must be an integer class "
+                raise ValueError(f"{where}: field 'label' must be an integer class "
                                  f"in [0, {header.num_labels}), got {label!r}")
             if obj.get("t") is None:
-                raise ValueError(f"record {rec_id}: field 't' (text features) is absent")
+                raise ValueError(f"{where}: field 't' (text features) is absent")
             bools = "true" in line or "false" in line
             vectors = {attr: None if obj.get(key) is None
-                       else _feature_vector(obj[key], raw[dim_key], rec_id, key, bools)
+                       else _feature_vector(obj[key], raw[dim_key], where, key, bools)
                        for key, (attr, dim_key) in _MODALITY_FIELDS.items()}
             records.append(UtteranceRecord(
                 id=rec_id, dialogue_id=str(obj["dialogue_id"]),

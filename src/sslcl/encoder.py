@@ -90,11 +90,14 @@ def encode(batch: FeatureBatch, mask: ModalityMask, params: dict[str, Tensor]) -
     return normalize_rows(ad.relu(pre))
 
 
+def row_norm_power(x: Tensor, power: float) -> Tensor:
+    """Every row's L2 norm to `power` (..., N), its square floored at 1e-24."""
+    return ad.pow_const(ad.clamp_min(ad.rowsum(ad.mul(x, x)), 1e-24), power / 2)
+
+
 def normalize_rows(x: Tensor) -> Tensor:
-    """Every row scaled to unit L2 norm; the squared norm is floored at
-    1e-24, so an all-zero row stays zero."""
-    inv_norm = ad.pow_const(ad.clamp_min(ad.rowsum(ad.mul(x, x)), 1e-24), -0.5)
-    return ad.mul_colvec(x, inv_norm)
+    """Every row scaled to unit L2 norm; an all-zero row stays zero."""
+    return ad.mul_colvec(x, row_norm_power(x, -1.0))
 
 
 def classify(features: Tensor, params: dict[str, Tensor]) -> Tensor:

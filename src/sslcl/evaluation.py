@@ -24,6 +24,7 @@ from .trainer import ParameterStore, RunConfig, TrainResult, config_to_flat, sco
 
 DEFAULT_SWEEP_SIZES = (1, 2, 4, 8, 16, 32)
 SWEEP_MODES = ("sslcl", "supcon", "ce-only")
+STABILITY_SIZES = (2, 32)
 
 
 def canonical_config_json(config: RunConfig) -> str:
@@ -143,13 +144,14 @@ class SweepResult:
     sizes: list[int]
     modes: list[str]
     cells: dict[tuple[str, int], CellResult]
+    base_config: dict
 
     def mean(self, mode: str, size: int) -> float:
         return self.cells[(mode, size)].mean
 
-    def stability(self, mode: str, small: int = 2, large: int = 32) -> float:
-        """wF1(small batch) minus wF1(large batch); near zero means stable."""
-        return self.mean(mode, small) - self.mean(mode, large)
+    def stability(self, mode: str) -> float:
+        """wF1(bs=2) minus wF1(bs=32), the STABILITY_SIZES; near zero means stable."""
+        return self.mean(mode, STABILITY_SIZES[0]) - self.mean(mode, STABILITY_SIZES[1])
 
 
 def batch_size_sweep(config: RunConfig, dataset: FeatureDataset,
@@ -177,7 +179,8 @@ def batch_size_sweep(config: RunConfig, dataset: FeatureDataset,
     cells = _run_arms(arms, dataset, jobs)
     return SweepResult(sizes=list(sizes), modes=list(modes),
                        cells={(mode, size): cells[f"{mode}@bs{size}"]
-                              for mode in modes for size in sizes})
+                              for mode in modes for size in sizes},
+                       base_config=config_to_flat(config))
 
 
 def sweep_to_csv(sweep: SweepResult, num_labels: int) -> str:
@@ -265,10 +268,11 @@ def sweep_summary(sweep: SweepResult) -> str:
     for mode in sweep.modes:
         row = f"{mode:<10}" + "".join(f"  {sweep.mean(mode, s):.4f} " for s in sweep.sizes)
         lines.append(row)
-    if 2 in sweep.sizes and 32 in sweep.sizes:
+    small, large = STABILITY_SIZES
+    if small in sweep.sizes and large in sweep.sizes:
         lines.append("")
         for mode in sweep.modes:
-            lines.append(f"stability s({mode}) = wF1(bs=2) - wF1(bs=32) = "
+            lines.append(f"stability s({mode}) = wF1(bs={small}) - wF1(bs={large}) = "
                          f"{sweep.stability(mode):+.4f}")
     return "\n".join(lines) + "\n"
 
@@ -304,18 +308,21 @@ def sweep_svg(sweep: SweepResult) -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_sweep_report(out_dir, sweep: SweepResult, num_labels: int, *, svg: bool = False) -> None:
+def write_sweep_report(out_dir, sweep: SweepResult, num_labels: int) -> None:
+    """sweep.csv, summary.txt, sweep.svg and base_config.json in out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_text(out / "sweep.csv", sweep_to_csv(sweep, num_labels))
     write_text(out / "summary.txt", sweep_summary(sweep))
-    if svg:
-        write_text(out / "sweep.svg", sweep_svg(sweep))
+    write_text(out / "sweep.svg", sweep_svg(sweep))
+    write_text(out / "base_config.json", json.dumps(sweep.base_config, indent=2))
 
 
 def write_ablation_report(out_dir, report: AblationReport, num_labels: int) -> None:
+    """ablation.csv, summary.txt, arms.json and base_config.json in out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_text(out / "ablation.csv", ablation_to_csv(report, num_labels))
     write_text(out / "summary.txt", ablation_summary(report))
     write_text(out / "arms.json", json.dumps(report.arm_configs, indent=2))
+    write_text(out / "base_config.json", json.dumps(report.arm_configs["full"], indent=2))

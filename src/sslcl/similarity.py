@@ -21,10 +21,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .encoder import row_norm_power
 
 MEASURES = ("soft-hgr", "dot", "cosine")
 COSINE_EPS = 1e-12
-_NORM_FLOOR = 1e-24
 
 
 @dataclass
@@ -79,11 +79,6 @@ def build_context(features: Tensor, label_embeddings: Tensor, labels, measure: s
     return SimilarityContext(features, label_embeddings, np.asarray(labels), measure)
 
 
-def _row_norms(x: Tensor) -> Tensor:
-    """Euclidean norm of every row, floored away from zero (..., N)."""
-    return ad.pow_const(ad.clamp_min(ad.rowsum(ad.mul(x, x)), _NORM_FLOOR), 0.5)
-
-
 def sim_matrix(ctx: SimilarityContext) -> Tensor:
     """All sample-against-label similarities as one (..., N, K) node.
 
@@ -106,7 +101,7 @@ def sim_matrix(ctx: SimilarityContext) -> Tensor:
     inner = ad.matmul(ctx.features, ad.transpose(ctx.label_embeddings))
     if ctx.measure != "cosine":
         return inner
-    norms = ad.outer(_row_norms(ctx.features), _row_norms(ctx.label_embeddings))
+    norms = ad.outer(row_norm_power(ctx.features, 1.0), row_norm_power(ctx.label_embeddings, 1.0))
     return ad.div(inner, ad.add_const(norms, COSINE_EPS))
 
 
@@ -131,5 +126,5 @@ def view_sim_vector(ctx: SimilarityContext, view_features: Tensor) -> Tensor:
     inner = ad.rowsum(ad.mul(view_features, ctx.assigned_raw))
     if ctx.measure != "cosine":
         return inner
-    norms = ad.mul(_row_norms(view_features), _row_norms(ctx.assigned_raw))
+    norms = ad.mul(row_norm_power(view_features, 1.0), row_norm_power(ctx.assigned_raw, 1.0))
     return ad.div(inner, ad.add_const(norms, COSINE_EPS))

@@ -391,7 +391,6 @@ _REL_FLOOR = 1e-3
 @dataclass
 class GradCheckReport:
     rows: list[dict]
-    tolerance: float = GRAD_TOL
 
     @property
     def max_rel_err(self) -> float:
@@ -399,14 +398,14 @@ class GradCheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err < self.tolerance
+        return self.max_rel_err < GRAD_TOL
 
     def summary(self) -> str:
         lines = [f"{row['mode']:<22} {row['group']:<8} max_rel_err={row['max_rel_err']:.3e}"
                  for row in self.rows]
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"{verdict}: overall max relative error {self.max_rel_err:.3e} "
-                     f"(tolerance {self.tolerance:g})")
+                     f"(tolerance {GRAD_TOL:g})")
         return "\n".join(lines)
 
 

@@ -1,14 +1,18 @@
 import json
 import multiprocessing
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
 from sslcl import evaluation
-from sslcl.cli import main
+from sslcl.cli import build_parser, main
 from sslcl.data import load_features, split_dataset
-from sslcl.trainer import (NonFiniteLossError, config_from_flat, save_checkpoint, train,
-                           write_metrics_log)
+from sslcl.evaluation import (ablation_suite, batch_size_sweep, write_ablation_report,
+                              write_sweep_report)
+from sslcl.trainer import (NonFiniteLossError, RunConfig, config_from_flat, save_checkpoint,
+                           train, write_metrics_log)
 
 
 @pytest.fixture()
@@ -22,6 +26,7 @@ def data_file(tmp_path):
 
 QUICK = ["--set", "epochs=1", "--set", "batch_size=16", "--set", "seeds=[0]",
          "--set", "hidden_dim=4", "--set", "feature_dim=3"]
+QUICK_CONFIG = RunConfig(epochs=1, batch_size=16, seeds=(0,), hidden_dim=4, feature_dim=3)
 
 
 class TestGenData:
@@ -62,9 +67,9 @@ class TestTrain:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"epochs": 1, "batch_size": 16, "seeds": [0],
                                    "hidden_dim": 4, "feature_dim": 3,
-                                   "hp.alpha": 1.0, "data": str(data_file)}))
+                                   "hp.alpha": 1.0}))
         out = tmp_path / "run_out"
-        code = main(["train", "--config", str(cfg), "--out", str(out),
+        code = main(["train", "--config", str(cfg), "--data", str(data_file), "--out", str(out),
                      "--set", "hp.alpha=2.0"])
         assert code == 0
         checkpoint = json.loads((out / "checkpoint_seed0.json").read_text())
@@ -84,10 +89,22 @@ class TestTrain:
 
     def test_dropped_key_in_config_file_exits_one(self, data_file, tmp_path, capsys):
         cfg = tmp_path / "old.json"
-        cfg.write_text(json.dumps({"label_embed_dim": 3, "data": str(data_file)}))
-        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")] + QUICK)
+        cfg.write_text(json.dumps({"label_embed_dim": 3}))
+        code = main(["train", "--config", str(cfg), "--data", str(data_file),
+                     "--out", str(tmp_path / "x")] + QUICK)
         assert code == 1
         assert "unknown config key: 'label_embed_dim'" in capsys.readouterr().err
+
+    def test_data_key_in_config_file_exits_one(self, data_file, tmp_path, capsys):
+        # The feature file has one channel, --data.
+        cfg = tmp_path / "with_data.json"
+        cfg.write_text(json.dumps({"data": str(data_file)}))
+        out = tmp_path / "x"
+        code = main(["train", "--config", str(cfg), "--data", str(data_file),
+                     "--out", str(out)] + QUICK)
+        assert code == 1
+        assert "unknown config key: 'data'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_embedding_only_depth_alone_trains(self, data_file, tmp_path):
         out = tmp_path / "emb"
@@ -97,24 +114,18 @@ class TestTrain:
         checkpoint = json.loads((out / "checkpoint_seed0.json").read_text())
         assert checkpoint["parameters"]["label.embed"]["shape"] == [7, 3]  # feature_dim=3
 
-    def test_env_seed_override(self, data_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("SSLCL_SEED", "5")
+    def test_seed_environment_variable_is_ignored(self, data_file, tmp_path, monkeypatch):
+        # Seeds come only from the config file and --set.
+        monkeypatch.setenv("SSLCL_SEED", "3")
         out = tmp_path / "env_run"
-        code = main(["train", "--data", str(data_file), "--out", str(out)] + QUICK)
-        assert code == 0
-        assert (out / "checkpoint_seed5.json").exists()
-        assert not (out / "checkpoint_seed0.json").exists()
+        assert main(["train", "--data", str(data_file), "--out", str(out)] + QUICK) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint_seed0.json",
+                                                         "metrics_seed0.jsonl"]
 
-    @pytest.mark.parametrize("how", ["set", "env"])
-    def test_repeated_seed_exits_one_naming_seeds(self, data_file, tmp_path, monkeypatch,
-                                                  capsys, how):
+    def test_repeated_seed_exits_one_naming_seeds(self, data_file, tmp_path, capsys):
         out = tmp_path / "dup"
-        args = ["train", "--data", str(data_file), "--out", str(out)] + QUICK
-        if how == "set":
-            args += ["--set", "seeds=[1,1]"]
-        else:
-            monkeypatch.setenv("SSLCL_SEED", "1,1")
-        assert main(args) == 1
+        assert main(["train", "--data", str(data_file), "--out", str(out)] + QUICK
+                    + ["--set", "seeds=[1,1]"]) == 1
         assert "seeds" in capsys.readouterr().err
         assert not out.exists()
 
@@ -155,8 +166,7 @@ class TestTrain:
         path.write_text("\n".join(lines[:5] + [json.dumps(record)] + lines[6:]) + "\n")
         out = tmp_path / "run"
         assert main(["train", "--data", str(path), "--out", str(out)] + QUICK) == 1
-        assert f"validation error: record {record['id']}: field 't' must list" in (
-            capsys.readouterr().err)
+        assert f"validation error: {path} line 6: field 't' must list" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -225,7 +235,7 @@ class TestSweepAndAblate:
     def test_sweep_batch_writes_report(self, data_file, tmp_path):
         out = tmp_path / "sweep"
         code = main(["sweep-batch", "--data", str(data_file), "--out", str(out),
-                     "--sizes", "4", "--modes", "ce-only", "--svg"] + QUICK)
+                     "--sizes", "4", "--modes", "ce-only"] + QUICK)
         assert code == 0
         assert (out / "sweep.csv").exists()
         assert (out / "sweep.svg").exists()
@@ -237,6 +247,22 @@ class TestSweepAndAblate:
         assert code == 0
         assert (out / "ablation.csv").exists()
         assert (out / "arms.json").exists()
+
+    def test_library_sweep_writes_the_cli_report(self, data_file, tmp_path):
+        assert main(["sweep-batch", "--data", str(data_file), "--out", str(tmp_path / "cli"),
+                     "--sizes", "4,8", "--modes", "ce-only"] + QUICK) == 0
+        dataset = load_features(data_file)
+        sweep = batch_size_sweep(QUICK_CONFIG, dataset, sizes=(4, 8), modes=("ce-only",))
+        write_sweep_report(tmp_path / "lib", sweep, dataset.header.num_labels)
+        _assert_same_files(tmp_path / "cli", tmp_path / "lib")
+
+    def test_library_ablation_writes_the_cli_report(self, data_file, tmp_path):
+        assert main(["ablate", "--data", str(data_file), "--out", str(tmp_path / "cli")]
+                    + QUICK) == 0
+        dataset = load_features(data_file)
+        report = ablation_suite(QUICK_CONFIG, dataset)
+        write_ablation_report(tmp_path / "lib", report, dataset.header.num_labels)
+        _assert_same_files(tmp_path / "cli", tmp_path / "lib")
 
     def test_sweep_batch_jobs_leaves_no_worker_running(self, data_file, tmp_path):
         code = main(["sweep-batch", "--data", str(data_file), "--out", str(tmp_path / "sweep"),
@@ -308,3 +334,24 @@ class TestUsageErrors:
     def test_bad_flag_value_exits_one(self):
         assert main(["gen-data", "--preset", "nonsense", "--n", "10",
                      "--out", "x.jsonl"]) == 1
+
+
+def _assert_same_files(dir_a, dir_b):
+    names = sorted(p.name for p in dir_a.iterdir())
+    assert names == sorted(p.name for p in dir_b.iterdir())
+    for name in names:
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
+def test_readme_commands_parse():
+    # Every command of README's "Command line" block must still parse.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("sslcl ")]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -129,14 +130,18 @@ class TestJsonlRoundTrip:
         ids=["dimension", "scalar", "object", "null", "nan", "inf", "nested", "string", "huge-int",
              "true", "false"])
     def test_malformed_vector_names_record_and_field(self, tmp_path, key, value):
-        with pytest.raises(ValueError, match=f"^record u7: field '{key}' must list "):
-            load_features(_feature_file(tmp_path / "bad.jsonl", **{key: value}))
+        path = _feature_file(tmp_path / "bad.jsonl", **{key: value})
+        where = re.escape(f"{path} line 2")
+        with pytest.raises(ValueError, match=f"^{where}: field '{key}' must list "):
+            load_features(path)
 
     @pytest.mark.parametrize("label", [9, -1, 1.7, True, "3", None, _ABSENT],
                              ids=["9", "-1", "1.7", "true", "string", "null", "absent"])
     def test_unknown_label_rejected(self, tmp_path, label):
-        with pytest.raises(ValueError, match="^record u7: field 'label' must be an integer"):
-            load_features(_feature_file(tmp_path / "bad2.jsonl", label=label))
+        path = _feature_file(tmp_path / "bad2.jsonl", label=label)
+        where = re.escape(f"{path} line 2")
+        with pytest.raises(ValueError, match=f"^{where}: field 'label' must be an integer"):
+            load_features(path)
 
     @pytest.mark.parametrize("header,match", [
         ({"K": 6.9}, "K as positive integers"), ({"d_t": "3"}, "K as positive integers"),
@@ -160,9 +165,11 @@ class TestJsonlRoundTrip:
         ({"speaker_id": ["s1"]}, "line 2: field 'speaker_id' must be a string or an integer"),
         ({"copies": 2}, "line 3: field 'id' repeats record u7 of line 2"),
         ({"tail": '{"id":"u2", "label": 1,\n'},
-         "bad5.jsonl line 3 column 25: Expecting property name enclosed in double quotes$")],
+         "bad5.jsonl line 3 column 25: Expecting property name enclosed in double quotes$"),
+        ({"tail": "[1, 2]\n"},
+         r"bad5.jsonl line 3: a record line must be a JSON object, got \[1, 2\]\Z")],
         ids=["id-null", "id-true", "id-float", "id-absent", "dialogue-absent", "speaker-list",
-             "id-repeated", "json-syntax"])
+             "id-repeated", "json-syntax", "non-object"])
     def test_malformed_record_id_names_line_and_field(self, tmp_path, record, match):
         with pytest.raises(ValueError, match=match):
             load_features(_feature_file(tmp_path / "bad5.jsonl", **record))

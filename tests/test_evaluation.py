@@ -105,8 +105,8 @@ class TestSweep:
         s2 = batch_size_sweep(config, quick_dataset, sizes=(4, 8), modes=("ce-only",))
         assert sweep_to_csv(s1, k) == sweep_to_csv(s2, k)
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
-        write_sweep_report(d1, s1, k, svg=True)
-        write_sweep_report(d2, s2, k, svg=True)
+        write_sweep_report(d1, s1, k)
+        write_sweep_report(d2, s2, k)
         assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
         assert (d1 / "sweep.svg").read_bytes() == (d2 / "sweep.svg").read_bytes()
 
