@@ -19,13 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (PRESETS, SyntheticSpec, generate_synthetic, load_features, preset_spec,
-                   save_jsonl, split_dataset)
-from .evaluation import (DEFAULT_SWEEP_SIZES, SWEEP_MODES, ablation_suite, ablation_summary,
+from .data import (PRESETS, SyntheticSpec, generate_synthetic, load_features, parse_json,
+                   preset_spec, save_jsonl, split_dataset)
+from .evaluation import (DEFAULT_SWEEP_SIZES, ablation_suite, ablation_summary,
                          batch_size_sweep, sweep_summary, train_and_score_seeds,
                          write_ablation_report, write_sweep_report)
-from .trainer import (ConfigError, NonFiniteLossError, RunConfig, config_from_flat, gradcheck,
-                      init_params, load_checkpoint, save_checkpoint, score, write_metrics_log)
+from .trainer import (LOSS_MODES, ConfigError, NonFiniteLossError, RunConfig, config_from_flat,
+                      gradcheck, init_params, load_checkpoint, save_checkpoint, score,
+                      write_metrics_log)
 
 JOBS_HELP = ("worker processes (at least 1); results are byte-identical to --jobs 1, "
              "and each worker holds one copy of the dataset")
@@ -42,8 +43,7 @@ def _build_config(args) -> RunConfig:
     """Defaults, then the config file, then --set overrides; all must be config keys."""
     flat: dict = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        loaded = parse_json(Path(args.config).read_text(encoding="utf-8"), args.config)
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         flat.update(loaded)
@@ -114,9 +114,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_sweep_batch(args) -> int:
     config = _build_config(args)
     dataset = load_features(args.data)
-    sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else DEFAULT_SWEEP_SIZES
-    modes = tuple(args.modes.split(",")) if args.modes else SWEEP_MODES
-    sweep = batch_size_sweep(config, dataset, sizes=sizes, modes=modes, jobs=args.jobs)
+    sweep = batch_size_sweep(config, dataset, sizes=args.sizes, modes=args.modes, jobs=args.jobs)
     write_sweep_report(args.out, sweep, dataset.header.num_labels)
     print(sweep_summary(sweep))
     return 0
@@ -129,6 +127,18 @@ def _cmd_ablate(args) -> int:
     write_ablation_report(args.out, report, dataset.header.num_labels)
     print(ablation_summary(report))
     return 0
+
+
+def _batch_sizes(raw: str) -> tuple[int, ...]:
+    if not all(size.isdecimal() for size in raw.split(",")):
+        raise argparse.ArgumentTypeError(f"expected comma-separated batch sizes, got {raw!r}")
+    return tuple(int(size) for size in raw.split(","))
+
+
+def _loss_modes(raw: str) -> tuple[str, ...]:
+    if not set(raw.split(",")) <= set(LOSS_MODES):
+        raise argparse.ArgumentTypeError(f"expected loss modes from {LOSS_MODES}, got {raw!r}")
+    return tuple(raw.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,8 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep-batch", help="batch-size stability sweep")
     add_config_args(sw)
     sw.add_argument("--out", required=True)
-    sw.add_argument("--sizes", default=None, help="comma-separated batch sizes")
-    sw.add_argument("--modes", default=None, help="comma-separated loss modes")
+    sw.add_argument("--sizes", type=_batch_sizes, default=DEFAULT_SWEEP_SIZES,
+                    help="comma-separated batch sizes")
+    sw.add_argument("--modes", type=_loss_modes, default=LOSS_MODES,
+                    help="comma-separated loss modes")
     sw.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     sw.set_defaults(func=_cmd_sweep_batch)
 

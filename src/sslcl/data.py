@@ -12,28 +12,24 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ._files import atomic_open
 
+MODALITY_DIMS = {"text": 10, "audio": 6, "visual": 6}
 MODALITY_SIGNAL = {"text": 1.0, "audio": 0.55, "visual": 0.55}
+MODALITY_NOISE = {"text": 1.0, "audio": 1.3, "visual": 1.3}
 CENTER_JITTER = 0.15
 DIALOGUE_LENGTH = 8
 
 PRESETS = {
     # seven classes, heavily skewed toward one majority class
-    "meld-like": {
-        "num_labels": 7,
-        "class_proportions": (0.47, 0.16, 0.12, 0.10, 0.07, 0.05, 0.03),
-    },
+    "meld-like": (0.47, 0.16, 0.12, 0.10, 0.07, 0.05, 0.03),
     # six classes, mild skew
-    "iemocap-like": {
-        "num_labels": 6,
-        "class_proportions": (0.22, 0.20, 0.18, 0.16, 0.13, 0.11),
-    },
+    "iemocap-like": (0.22, 0.20, 0.18, 0.16, 0.13, 0.11),
 }
 
 
@@ -42,8 +38,11 @@ class DatasetHeader:
     text_dim: int
     audio_dim: int
     visual_dim: int
-    num_labels: int
     label_names: tuple[str, ...]
+
+    @property
+    def num_labels(self) -> int:
+        return len(self.label_names)
 
     def to_json_obj(self) -> dict:
         return {
@@ -78,22 +77,21 @@ class FeatureDataset:
         return FeatureDataset(self.header, [self.records[i] for i in indices])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
-    num_labels: int
+    """A synthetic dataset's inputs, checked on construction."""
+
     class_proportions: tuple[float, ...]
     n_samples: int
-    text_dim: int = 10
-    audio_dim: int = 6
-    visual_dim: int = 6
     class_separation: float = 2.0
-    modality_noise: dict = field(default_factory=lambda: {"text": 1.0, "audio": 1.3, "visual": 1.3})
     seed: int = 0
 
-    def validate(self) -> None:
+    @property
+    def num_labels(self) -> int:
+        return len(self.class_proportions)
+
+    def __post_init__(self) -> None:
         props = np.asarray(self.class_proportions, dtype=np.float64)
-        if len(props) != self.num_labels:
-            raise ValueError("class_proportions length must equal the class count")
         if abs(props.sum() - 1.0) > 1e-9:
             raise ValueError("class_proportions must sum to 1")
         if np.any(props <= 0):
@@ -104,16 +102,11 @@ class SyntheticSpec:
             raise ValueError(f"class_separation must be finite and >= 0, got {self.class_separation!r}")
 
 
-def preset_spec(name: str, n_samples: int, seed: int, **overrides) -> SyntheticSpec:
+def preset_spec(name: str, n_samples: int, seed: int,
+                class_separation: float = SyntheticSpec.class_separation) -> SyntheticSpec:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    spec = SyntheticSpec(n_samples=n_samples, seed=seed, **PRESETS[name])
-    for key, value in overrides.items():
-        if not hasattr(spec, key):
-            raise ValueError(f"unknown SyntheticSpec field {key!r}")
-        setattr(spec, key, value)
-    spec.validate()
-    return spec
+    return SyntheticSpec(PRESETS[name], n_samples, class_separation, seed)
 
 
 def class_counts(proportions: Sequence[float], n: int) -> list[int]:
@@ -144,26 +137,21 @@ def _class_centers(rng: np.random.Generator, num_labels: int, dim: int, spread: 
 
 def generate_synthetic(spec: SyntheticSpec) -> FeatureDataset:
     """Deterministic Gaussian-cluster data; each modality carries class signal."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
-    dims = {"text": spec.text_dim, "audio": spec.audio_dim, "visual": spec.visual_dim}
     centers = {
         name: _class_centers(rng, spec.num_labels, dim,
                              spec.class_separation * MODALITY_SIGNAL[name])
-        for name, dim in dims.items()
+        for name, dim in MODALITY_DIMS.items()
     }
     counts = class_counts(spec.class_proportions, spec.n_samples)
     labels = np.repeat(np.arange(spec.num_labels), counts)
     rng.shuffle(labels)
     feats = {
-        name: centers[name][labels] + spec.modality_noise[name] * rng.standard_normal((spec.n_samples, dim))
-        for name, dim in dims.items()
+        name: centers[name][labels] + MODALITY_NOISE[name] * rng.standard_normal((spec.n_samples, dim))
+        for name, dim in MODALITY_DIMS.items()
     }
-    header = DatasetHeader(
-        text_dim=spec.text_dim, audio_dim=spec.audio_dim, visual_dim=spec.visual_dim,
-        num_labels=spec.num_labels,
-        label_names=tuple(f"class{k}" for k in range(spec.num_labels)),
-    )
+    header = DatasetHeader(*MODALITY_DIMS.values(),
+                           label_names=tuple(f"class{k}" for k in range(spec.num_labels)))
     records = []
     for i in range(spec.n_samples):
         dialogue = i // DIALOGUE_LENGTH
@@ -197,9 +185,9 @@ def save_jsonl(dataset: FeatureDataset, path) -> None:
 _MODALITY_FIELDS = {"t": ("text", "d_t"), "a": ("audio", "d_a"), "v": ("visual", "d_v")}
 
 
-def _feature_vector(raw, dim: int, where: str, key: str, bools: bool) -> np.ndarray:
+def finite_vector(raw, dim: int, where: str, key: str, bools: bool) -> np.ndarray:
     """A JSON list of `dim` finite numbers as a float64 vector: the sum is checked
-    first, each entry only if it is not finite or the line holds a JSON true/false."""
+    first; each entry only when the sum is not finite or `bools` (the text has true/false)."""
     try:
         ok = (isinstance(raw, list) and len(raw) == dim
               and (math.isfinite(sum(raw)) or all(map(math.isfinite, raw)))
@@ -211,12 +199,14 @@ def _feature_vector(raw, dim: int, where: str, key: str, bools: bool) -> np.ndar
     return np.asarray(raw, dtype=np.float64)
 
 
-def _json_line(path, lineno: int, line: str):
-    """One line's JSON value; a syntax error raises naming the file's line and column."""
+def parse_json(text: str, path, lineno: int | None = None):
+    """The JSON value of `text`, the whole of file `path` or, given `lineno`, its
+    line `lineno`; a syntax error raises naming the file, line and column."""
     try:
-        return json.loads(line)
+        return json.loads(text)
     except json.JSONDecodeError as err:
-        raise ValueError(f"{path} line {lineno} column {err.pos + 1}: {err.msg}") from err
+        line, column = (err.lineno, err.colno) if lineno is None else (lineno, err.pos + 1)
+        raise ValueError(f"{path} line {line} column {column}: {err.msg}") from err
 
 
 def load_features(path) -> FeatureDataset:
@@ -227,7 +217,7 @@ def load_features(path) -> FeatureDataset:
         header_line = fh.readline()
         if not header_line.strip():
             raise ValueError(f"{path}: missing header line")
-        raw = _json_line(path, 1, header_line)
+        raw = parse_json(header_line, path, 1)
         if not isinstance(raw, dict) or any(type(raw.get(k)) is not int or raw[k] < 1
                                             for k in ("d_t", "d_a", "d_v", "K")):
             raise ValueError(f"{path}: the header must give d_t, d_a, d_v and K as positive "
@@ -237,13 +227,13 @@ def load_features(path) -> FeatureDataset:
                 and all(isinstance(name, str) for name in names)):
             raise ValueError(f"{path}: header 'label_names' must list K={raw['K']} names, got {names!r}")
         header = DatasetHeader(text_dim=raw["d_t"], audio_dim=raw["d_a"], visual_dim=raw["d_v"],
-                               num_labels=raw["K"], label_names=tuple(names))
+                               label_names=tuple(names))
         records = []
         id_lines: dict[str, int] = {}
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            obj = _json_line(path, lineno, line)
+            obj = parse_json(line, path, lineno)
             where = f"{path} line {lineno}"
             if not isinstance(obj, dict):
                 raise ValueError(f"{where}: a record line must be a JSON object, "
@@ -266,7 +256,7 @@ def load_features(path) -> FeatureDataset:
                 raise ValueError(f"{where}: field 't' (text features) is absent")
             bools = "true" in line or "false" in line
             vectors = {attr: None if obj.get(key) is None
-                       else _feature_vector(obj[key], raw[dim_key], where, key, bools)
+                       else finite_vector(obj[key], raw[dim_key], where, key, bools)
                        for key, (attr, dim_key) in _MODALITY_FIELDS.items()}
             records.append(UtteranceRecord(
                 id=rec_id, dialogue_id=str(obj["dialogue_id"]),

@@ -20,8 +20,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import DatasetHeader, FeatureBatch
 
-MODALITY_SETTINGS = ("trimodal", "bimodal", "text-only")
-
 
 @dataclass(frozen=True)
 class ModalityMask:
@@ -36,21 +34,18 @@ TEXT_ONLY = ModalityMask(False, False)
 TEXT_AUDIO = ModalityMask(True, False)
 TEXT_VISUAL = ModalityMask(False, True)
 
+_VIEWS = {"trimodal": (TEXT_ONLY, TEXT_AUDIO, TEXT_VISUAL), "bimodal": (TEXT_ONLY,),
+          "text-only": ()}
+MODALITY_SETTINGS = tuple(_VIEWS)
+
 
 def augmentation_views(modality_setting: str) -> list[ModalityMask]:
-    """Masks for the augmented positive views of each sample.
-
-    Trimodal models get text-only, text+audio and text+visual views;
-    bimodal models only the text-only view; text-only models none.
-    Text is never dropped.
-    """
-    if modality_setting == "trimodal":
-        return [TEXT_ONLY, TEXT_AUDIO, TEXT_VISUAL]
-    if modality_setting == "bimodal":
-        return [TEXT_ONLY]
-    if modality_setting == "text-only":
-        return []
-    raise ValueError(f"unknown modality setting {modality_setting!r}")
+    """Masks for the augmented positive views of each sample. The setting picks
+    only these views: training encodes all three modalities under every setting,
+    and "text-only" has no views, so it trains exactly like augmentation=false."""
+    if modality_setting not in _VIEWS:
+        raise ValueError(f"unknown modality setting {modality_setting!r}")
+    return list(_VIEWS[modality_setting])
 
 
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

@@ -20,10 +20,10 @@ import numpy as np
 
 from ._files import write_text
 from .data import FeatureDataset, split_dataset
-from .trainer import ParameterStore, RunConfig, TrainResult, config_to_flat, score, train_seeds
+from .trainer import (LOSS_MODES, ParameterStore, RunConfig, TrainResult, config_to_flat, score,
+                      train_seeds)
 
 DEFAULT_SWEEP_SIZES = (1, 2, 4, 8, 16, 32)
-SWEEP_MODES = ("sslcl", "supcon", "ce-only")
 STABILITY_SIZES = (2, 32)
 
 
@@ -111,7 +111,7 @@ def _run_arms(arms: dict[str, RunConfig], dataset: FeatureDataset,
     cells = {}
     for name, arm in arms.items():
         per_seed = by_key[canonical_config_json(arm)]
-        cells[name] = CellResult(name=name, config_hash=config_hash(arm),
+        cells[name] = CellResult(config_hash=config_hash(arm),
                                  scores=[wf1 for wf1, _ in per_seed],
                                  per_class=[per_class for _, per_class in per_seed])
     return cells
@@ -121,7 +121,6 @@ def _run_arms(arms: dict[str, RunConfig], dataset: FeatureDataset,
 class CellResult:
     """Aggregate of one experimental arm over all seeds."""
 
-    name: str
     config_hash: str
     scores: list[float]
     per_class: list[list[float]]
@@ -156,7 +155,7 @@ class SweepResult:
 
 def batch_size_sweep(config: RunConfig, dataset: FeatureDataset,
                      sizes: Sequence[int] = DEFAULT_SWEEP_SIZES,
-                     modes: Sequence[str] = SWEEP_MODES, jobs: int = 1) -> SweepResult:
+                     modes: Sequence[str] = LOSS_MODES, jobs: int = 1) -> SweepResult:
     """Train every (loss mode, batch size, seed) cell on the same split.
 
     Each cell gets the base config's optimizer-step budget: its epochs are

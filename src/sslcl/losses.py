@@ -26,6 +26,10 @@ from .similarity import SimilarityContext
 LOG_FLOOR = 1e-300
 
 
+class ConfigError(ValueError):
+    """A config key or value failed validation."""
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Loss hyperparameters. alpha/beta are the positive/negative focusing
@@ -45,11 +49,11 @@ class HyperParams:
         for name in ("alpha", "beta", "gamma", "ce_weight", "supcon_temperature"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
-                raise ValueError(f"hp.{name} must be finite and strictly positive, got {value!r}")
+                raise ConfigError(f"hp.{name} must be finite and strictly positive, got {value!r}")
         # label_loss_weight may be zero: that is the label-label ablation arm.
         value = self.label_loss_weight
         if not 0 <= value < math.inf:
-            raise ValueError(f"hp.label_loss_weight must be finite and non-negative, got {value!r}")
+            raise ConfigError(f"hp.label_loss_weight must be finite and non-negative, got {value!r}")
 
 
 # The metrics log's per-step terms, in record order after "step" and "epoch".

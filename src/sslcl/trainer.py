@@ -23,20 +23,19 @@ import numpy as np
 from . import autodiff as ad
 from ._files import atomic_open
 from .autodiff import Tape, Tensor
-from .data import (DatasetHeader, FeatureBatch, FeatureDataset, batch_iter, records_to_batch,
-                   stack_batches)
+from .data import (DatasetHeader, FeatureBatch, FeatureDataset, batch_iter, finite_vector,
+                   parse_json, records_to_batch, stack_batches)
 from .encoder import FULL_MASK, MODALITY_SETTINGS, augmentation_views, classify, encode, init_encoder_params
 from .label_embedding import DEPTHS, embed_labels, init_label_params
-from .losses import STEP_TERMS, FloorCount, HyperParams, cross_entropy, sslcl_loss, supcon_loss
+from .losses import (STEP_TERMS, ConfigError, FloorCount, HyperParams, cross_entropy, sslcl_loss,
+                     supcon_loss)
 from .metrics import weighted_f1
 from .similarity import MEASURES, build_context, sim_matrix
 
 LOSS_MODES = ("sslcl", "supcon", "ce-only")
 PREDICTORS = ("head", "similarity")
-
-
-class ConfigError(ValueError):
-    """A config key or value failed validation."""
+_CHOICES = {"measure": MEASURES, "le_depth": DEPTHS, "loss_mode": LOSS_MODES,
+            "modality_setting": MODALITY_SETTINGS, "predictor": PREDICTORS}
 
 
 class NonFiniteLossError(RuntimeError):
@@ -72,16 +71,9 @@ class RunConfig:
         return self.feature_dim if self.le_depth == "embedding-only" else 2 * self.feature_dim
 
     def __post_init__(self) -> None:
-        if self.measure not in MEASURES:
-            raise ConfigError(f"measure must be one of {MEASURES}, got {self.measure!r}")
-        if self.le_depth not in DEPTHS:
-            raise ConfigError(f"le_depth must be one of {DEPTHS}, got {self.le_depth!r}")
-        if self.loss_mode not in LOSS_MODES:
-            raise ConfigError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
-        if self.modality_setting not in MODALITY_SETTINGS:
-            raise ConfigError(f"modality_setting must be one of {MODALITY_SETTINGS}")
-        if self.predictor not in PREDICTORS:
-            raise ConfigError(f"predictor must be one of {PREDICTORS}")
+        for key, choices in _CHOICES.items():
+            if (value := getattr(self, key)) not in choices:
+                raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
         for name in ("batch_size", "epochs", "hidden_dim", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
@@ -369,12 +361,20 @@ def save_checkpoint(path, store: ParameterStore, config: RunConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[ParameterStore, RunConfig]:
+    """A checkpoint's parameters and config; a malformed one raises naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    arrays = {
-        name: np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in obj["parameters"].items()
-    }
+        obj = parse_json(fh.read(), path)
+    if not (isinstance(obj, dict) and isinstance(obj.get("config"), dict)
+            and isinstance(obj.get("parameters"), dict)):
+        raise ValueError(f"{path}: a checkpoint must hold a 'config' and a 'parameters' object")
+    arrays = {}
+    for name, entry in obj["parameters"].items():
+        where = f"{path} parameter {name!r}"
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise ValueError(f"{where}: field 'shape' must list integers >= 0, got {shape!r:.60}")
+        values = finite_vector(entry.get("values"), math.prod(shape), where, "values", bools=True)
+        arrays[name] = values.reshape(shape)
     return ParameterStore(arrays), config_from_flat(obj["config"])
 
 
@@ -419,7 +419,6 @@ def _random_instance(config: RunConfig, num_labels: int, rng: np.random.Generato
                      ) -> tuple[DatasetHeader, FeatureBatch, ParameterStore]:
     n = int(rng.integers(1 if config.loss_mode == "sslcl" else 2, 7))
     header = DatasetHeader(text_dim=4, audio_dim=3, visual_dim=3,
-                           num_labels=num_labels,
                            label_names=tuple(f"class{k}" for k in range(num_labels)))
     labels = rng.integers(0, num_labels, size=n)
     batch = FeatureBatch(

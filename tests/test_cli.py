@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import shlex
 from pathlib import Path
 
@@ -9,10 +10,10 @@ import pytest
 from sslcl import evaluation
 from sslcl.cli import build_parser, main
 from sslcl.data import load_features, split_dataset
-from sslcl.evaluation import (ablation_suite, batch_size_sweep, write_ablation_report,
-                              write_sweep_report)
-from sslcl.trainer import (NonFiniteLossError, RunConfig, config_from_flat, save_checkpoint,
-                           train, write_metrics_log)
+from sslcl.evaluation import (DEFAULT_SWEEP_SIZES, ablation_suite, batch_size_sweep,
+                              write_ablation_report, write_sweep_report)
+from sslcl.trainer import (_CHOICES, LOSS_MODES, NonFiniteLossError, RunConfig, config_from_flat,
+                           config_to_flat, save_checkpoint, train, write_metrics_log)
 
 
 @pytest.fixture()
@@ -94,6 +95,15 @@ class TestTrain:
                      "--out", str(tmp_path / "x")] + QUICK)
         assert code == 1
         assert "unknown config key: 'label_embed_dim'" in capsys.readouterr().err
+
+    def test_config_file_syntax_error_names_the_file(self, data_file, tmp_path, capsys):
+        cfg = tmp_path / "cut.json"
+        cfg.write_text('{"epochs": 1,\n')
+        code = main(["train", "--config", str(cfg), "--data", str(data_file),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"validation error: {cfg} line 2 column 1: "
+                                           "Expecting property name enclosed in double quotes\n")
 
     def test_data_key_in_config_file_exits_one(self, data_file, tmp_path, capsys):
         # The feature file has one channel, --data.
@@ -225,6 +235,38 @@ class TestEval:
         assert "unknown config key: 'adam_beta1'" in captured.err
         assert "w-F1" not in captured.out
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda ck: '{"config": {},\n',
+         " line 2 column 1: Expecting property name enclosed in double quotes"),
+        (lambda ck: {"config": {}}, ": a checkpoint must hold a 'config' and a 'parameters' object"),
+        (lambda ck: {"config": [], "parameters": {}}, ": a checkpoint must hold a 'config'"),
+        (lambda ck: _set_param(ck, shape=[2], values=[1.0, 2.0, 3.0]),
+         " parameter 'enc.text_proj': field 'values' must list 2 finite numbers, got [1.0, 2.0, 3.0]"),
+        (lambda ck: _set_first_value(ck, "x"),
+         " parameter 'enc.text_proj': field 'values' must list 40 finite numbers, got ['x', "),
+        (lambda ck: _set_first_value(ck, float("nan")),
+         " parameter 'enc.text_proj': field 'values' must list 40 finite numbers, got [nan, "),
+        (lambda ck: _set_first_value(ck, True),
+         " parameter 'enc.text_proj': field 'values' must list 40 finite numbers, got [True, "),
+        (lambda ck: _set_param(ck, shape=[4, -10]),
+         " parameter 'enc.text_proj': field 'shape' must list integers >= 0, got [4, -10]"),
+        (lambda ck: _set_param(ck, shape=None),
+         " parameter 'enc.text_proj': field 'shape' must list integers >= 0, got None")],
+        ids=["json-syntax", "no-parameters", "config-list", "values-vs-shape", "string-value",
+             "nan-value", "true-value", "negative-shape", "absent-shape"])
+    def test_malformed_checkpoint_exits_one_naming_the_file(self, data_file, tmp_path, capsys,
+                                                            edit, message):
+        out = tmp_path / "run6"
+        assert main(["train", "--data", str(data_file), "--out", str(out)] + QUICK) == 0
+        path = out / "checkpoint_seed0.json"
+        edited = edit(json.loads(path.read_text()))
+        path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path), "--data", str(data_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"validation error: {path}{message}")
+        assert "w-F1" not in captured.out
+
     def test_missing_checkpoint_is_runtime_failure(self, data_file, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.json"),
                      "--data", str(data_file)])
@@ -302,6 +344,27 @@ class TestSweepAndAblate:
         assert "each batch size may appear once, got [2, 2]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--sizes", ""), ("--sizes", "2,x"), ("--sizes", "2,,4"), ("--modes", ""),
+        ("--modes", "sslcl,,supcon"), ("--modes", "focal")],
+        ids=["sizes-empty", "sizes-not-int", "sizes-empty-entry", "modes-empty",
+             "modes-empty-entry", "modes-unknown"])
+    def test_malformed_sweep_list_is_usage_error(self, data_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "sweep"
+        code = main(["sweep-batch", "--data", str(data_file), "--out", str(out),
+                     flag, value] + QUICK)
+        assert code == 1
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_lists_default_to_the_library_defaults(self):
+        args = build_parser().parse_args(["sweep-batch", "--data", "d.jsonl", "--out", "o"])
+        assert args.sizes == DEFAULT_SWEEP_SIZES
+        assert args.modes == LOSS_MODES
+        args = build_parser().parse_args(["sweep-batch", "--data", "d.jsonl", "--out", "o",
+                                          "--sizes", "2,8", "--modes", "ce-only,sslcl"])
+        assert (args.sizes, args.modes) == ((2, 8), ("ce-only", "sslcl"))
+
     def test_jobs_below_one_is_usage_error(self, data_file, tmp_path, capsys):
         code = main(["ablate", "--data", str(data_file), "--out", str(tmp_path / "ab"),
                      "--jobs", "0"] + QUICK)
@@ -326,7 +389,15 @@ class TestUsageErrors:
         code = main(["train", "--data", str(data_file), "--out", str(tmp_path / "x")]
                     + QUICK + ["--set", override])
         assert code == 1
-        assert key in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {key} ")
+
+    @pytest.mark.parametrize("key", sorted(_CHOICES))
+    def test_bad_choice_exits_one_naming_key_and_value(self, data_file, tmp_path, capsys, key):
+        code = main(["train", "--data", str(data_file), "--out", str(tmp_path / "x")]
+                    + QUICK + ["--set", f"{key}=bogus"])
+        assert code == 1
+        assert capsys.readouterr().err == (f"config error: {key} must be one of "
+                                           f"{_CHOICES[key]}, got 'bogus'\n")
 
     def test_bad_subcommand_exits_one(self):
         assert main(["frobnicate"]) == 1
@@ -334,6 +405,18 @@ class TestUsageErrors:
     def test_bad_flag_value_exits_one(self):
         assert main(["gen-data", "--preset", "nonsense", "--n", "10",
                      "--out", "x.jsonl"]) == 1
+
+
+def _set_param(checkpoint, **entry):
+    """The checkpoint with fields of its `enc.text_proj` entry replaced."""
+    checkpoint["parameters"]["enc.text_proj"].update(entry)
+    return checkpoint
+
+
+def _set_first_value(checkpoint, value):
+    """The checkpoint with the first of `enc.text_proj`'s values replaced."""
+    checkpoint["parameters"]["enc.text_proj"]["values"][0] = value
+    return checkpoint
 
 
 def _assert_same_files(dir_a, dir_b):
@@ -355,3 +438,18 @@ def test_readme_commands_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def test_readme_config_keys_match_the_config():
+    # README's key paragraph: the stated count, every key in artifact order,
+    # and each choice key's list of values.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = " ".join(next(block for block in readme.split("\n\n")
+                              if "keys mirror `RunConfig`" in block).split())
+    flat = config_to_flat(RunConfig())
+    assert int(re.search(r"The (\d+) keys", paragraph).group(1)) == len(flat)
+    named = [token for token in re.findall(r"`([^`]+)`", paragraph) if token in flat]
+    assert list(dict.fromkeys(named)) == list(flat)
+    choices = {key: tuple(re.findall(r"`([^`]+)`", values)) for key, values in
+               re.findall(r"`([\w.]+)` \(((?:`[^`]+`/ ?)+`[^`]+`)\)", paragraph)}
+    assert choices == _CHOICES

@@ -50,10 +50,18 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(preset_spec("meld-like", 5, seed=0))
 
-    def test_bad_proportions_rejected(self):
-        spec = SyntheticSpec(num_labels=2, class_proportions=(0.7, 0.7), n_samples=10)
-        with pytest.raises(ValueError):
-            spec.validate()
+    @pytest.mark.parametrize("proportions,match", [
+        ((0.7, 0.7), "sum to 1"), ((1.2, -0.2), "strictly positive")], ids=["sum", "sign"])
+    def test_bad_proportions_rejected(self, proportions, match):
+        with pytest.raises(ValueError, match=match):
+            SyntheticSpec(class_proportions=proportions, n_samples=10)
+
+    def test_class_count_follows_the_proportions_and_names(self):
+        spec = SyntheticSpec(class_proportions=(0.5, 0.3, 0.2), n_samples=30)
+        header = generate_synthetic(spec).header
+        assert spec.num_labels == header.num_labels == 3
+        assert header.label_names == ("class0", "class1", "class2")
+        assert preset_spec("iemocap-like", 30, seed=0).num_labels == 6
 
     @pytest.mark.parametrize("separation", [float("nan"), float("inf"), -1.0])
     def test_bad_class_separation_rejected(self, separation):

@@ -152,7 +152,7 @@ class TestConfigFlat:
             RunConfig(seeds=(1, 2, 1))
         with pytest.raises(ConfigError, match="^seeds"):
             config_from_flat({"seeds": [3, 3]})
-        with pytest.raises(ValueError, match="alpha"):
+        with pytest.raises(ConfigError, match="alpha"):
             HyperParams(alpha=0.0)
         with pytest.raises(FrozenInstanceError):
             RunConfig().batch_size = 2
@@ -165,7 +165,7 @@ class TestConfigFlat:
         ("label_net_lr", float("nan")), ("label_net_lr", -1.0), ("feature_dim", 0),
         ("hidden_dim", -1)])
     def test_bad_numbers_are_rejected_naming_the_key(self, key, value):
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ConfigError, match=key):
             config_from_flat({key: value})
 
     def test_zero_learning_rate_is_allowed(self):
@@ -186,9 +186,9 @@ def tiny_dataset():
 @pytest.fixture(scope="module")
 def separable_two_class():
     from sslcl.data import SyntheticSpec
-    spec = SyntheticSpec(num_labels=2, class_proportions=(0.5, 0.5), n_samples=120,
-                         class_separation=6.0,
-                         modality_noise={"text": 0.3, "audio": 0.4, "visual": 0.4},
+    # Separation 20 at the generator's unit text noise keeps the text
+    # signal-to-noise ratio of separation 6 at noise 0.3.
+    spec = SyntheticSpec(class_proportions=(0.5, 0.5), n_samples=120, class_separation=20.0,
                          seed=3)
     return generate_synthetic(spec)
 
